@@ -13,7 +13,7 @@
 //! fans out) so the machine is not oversubscribed.
 
 use std::io::Write;
-use std::process::{Command, Output};
+use std::process::{Command, ExitStatus, Output};
 
 use dtp_bench::Reporter;
 
@@ -56,32 +56,40 @@ fn main() {
 
     let mut failures = Vec::new();
     for (bin, result) in BINARIES.iter().zip(&results) {
-        match result {
-            Ok(out) => {
-                replay(out);
-                if !out.status.success() {
-                    reporter.warn(&format!("{bin} exited with {}", out.status));
-                    failures.push(*bin);
-                }
-            }
-            Err(e) => {
-                reporter.warn(&format!(
-                    "failed to launch {bin}: {e} (build with `cargo build --release -p dtp-bench` first)"
-                ));
-                failures.push(*bin);
-            }
+        if let Ok(out) = result {
+            replay(out);
         }
+        note_exit(&reporter, bin, result.as_ref().map(|out| out.status), &mut failures);
     }
 
     // extra_intervals is cheap; run it last so a partial run still covers
     // every paper artifact above.
     reporter.verbose("[extra] extra_intervals");
-    let _ = Command::new(dir.join("extra_intervals")).status();
+    let status = Command::new(dir.join("extra_intervals")).status();
+    note_exit(&reporter, "extra_intervals", status.as_ref().copied(), &mut failures);
     if !failures.is_empty() {
         reporter.warn(&format!("\nfailed: {failures:?}"));
         std::process::exit(1);
     }
     reporter.info("\nrun_all: every experiment binary completed");
+}
+
+/// Record `bin` in `failures`, with a warning, unless it launched and
+/// exited successfully.
+fn note_exit(
+    reporter: &Reporter,
+    bin: &'static str,
+    status: Result<ExitStatus, &std::io::Error>,
+    failures: &mut Vec<&'static str>,
+) {
+    match status {
+        Ok(status) if status.success() => return,
+        Ok(status) => reporter.warn(&format!("{bin} exited with {status}")),
+        Err(e) => reporter.warn(&format!(
+            "failed to launch {bin}: {e} (build with `cargo build --release -p dtp-bench` first)"
+        )),
+    }
+    failures.push(bin);
 }
 
 /// Replay a captured child's streams on the parent's, preserving the split.

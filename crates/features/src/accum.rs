@@ -4,16 +4,11 @@
 //! complete session slice; a proxy scoring sessions *online* sees one
 //! transaction at a time and cannot afford to re-extract 38 features per
 //! arrival. This module provides push-based accumulators that maintain the
-//! same statistics in O(1)–O(log n) per record:
+//! same statistics in O(1) per record:
 //!
-//! * [`Welford`] — numerically stable streaming mean/variance (Welford's
-//!   online algorithm),
-//! * [`StreamingMedian`] — an *exact* running median over two heaps
-//!   (O(log n) push, O(n) space — the session's records are bounded and
-//!   buffered by the tracker anyway),
-//! * [`P2Quantile`] — the constant-space P² quantile *sketch* (Jain &
-//!   Chlamtac), for live gauges where O(n) state per open session is too
-//!   much and a small approximation error is acceptable,
+//! * [`SeriesStats`] — one per-transaction metric series: running min/max
+//!   plus the raw values, whose median is taken on read by the batch
+//!   kernel [`crate::stats::median`],
 //! * [`TlsSessionAccumulator`] — the full Table 1 feature vector,
 //!   maintained incrementally.
 //!
@@ -23,310 +18,47 @@
 //! [`crate::extract_tls_features_checked`] over the same records, provided
 //! records are pushed in nondecreasing `start_s` order (the order the
 //! batch path consumes after its stable sort): every sum is accumulated in
-//! the same sequence, min/max fold over the same values, the median is
-//! exact, and the temporal overlap attribution uses the same `t0`. The
-//! equivalence is pinned by unit tests here, property tests in
-//! `tests/accumulators.rs`, and end-to-end by `tests/stream_vs_batch.rs`
-//! at the workspace root. [`Welford`] means/variances and [`P2Quantile`]
-//! estimates are *not* part of the 38-feature vector (the paper drops
-//! mean/std as redundant, §3 footnote 5); they serve live monitoring and
-//! agree with `stats.rs` within floating-point reassociation (Welford) or
-//! sketch error (P²).
+//! the same sequence, min/max fold over the same values, the median is the
+//! same `stats::median` call over the same multiset, and the temporal
+//! overlap attribution uses the same `t0`. The equivalence is pinned by
+//! unit tests here and end-to-end by `tests/stream_vs_batch.rs` at the
+//! workspace root.
 
 use dtp_telemetry::TlsTransactionRecord;
 
-use crate::FeatureQuality;
-
-/// Welford's online mean/variance. Population variance, matching
-/// [`crate::stats::std_dev`].
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observe one value.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; 0.0 when empty (matching `stats::mean`).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0.0 when empty.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).max(0.0)
-        }
-    }
-
-    /// Population standard deviation; 0.0 when empty (matching
-    /// `stats::std_dev`).
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// `f64` with the `total_cmp` total order, so heaps agree with the batch
-/// path's `sort_by(f64::total_cmp)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Exact running median over a max-heap of the lower half and a min-heap of
-/// the upper half. Produces the same value as [`crate::stats::median`] on
-/// the same multiset — including the `(a + b) / 2.0` interpolation on even
-/// counts — because both order values by `total_cmp`.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingMedian {
-    low: std::collections::BinaryHeap<TotalF64>,
-    high: std::collections::BinaryHeap<std::cmp::Reverse<TotalF64>>,
-}
-
-impl StreamingMedian {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observe one value. O(log n).
-    pub fn push(&mut self, x: f64) {
-        let x = TotalF64(x);
-        match self.low.peek() {
-            Some(&top) if x > top => self.high.push(std::cmp::Reverse(x)),
-            _ => self.low.push(x),
-        }
-        // Rebalance: low holds ⌈n/2⌉ elements, high holds ⌊n/2⌋.
-        if self.low.len() > self.high.len() + 1 {
-            let moved = self.low.pop().expect("low non-empty");
-            self.high.push(std::cmp::Reverse(moved));
-        } else if self.high.len() > self.low.len() {
-            let std::cmp::Reverse(moved) = self.high.pop().expect("high non-empty");
-            self.low.push(moved);
-        }
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.low.len() + self.high.len()
-    }
-
-    /// The current median; 0.0 when empty (matching `stats::median`).
-    pub fn median(&self) -> f64 {
-        match (self.low.peek(), self.high.peek()) {
-            (None, _) => 0.0,
-            (Some(&TotalF64(lo)), _) if self.low.len() > self.high.len() => lo,
-            (Some(&TotalF64(lo)), Some(&std::cmp::Reverse(TotalF64(hi)))) => (lo + hi) / 2.0,
-            (Some(&TotalF64(lo)), None) => lo,
-        }
-    }
-}
-
-/// The P² streaming quantile estimator (Jain & Chlamtac, 1985): five
-/// markers, O(1) space and time per observation. Exact through the first
-/// five observations, approximate after. Use [`StreamingMedian`] where
-/// exactness matters; use this where per-session state must stay constant.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    n: usize,
-    heights: [f64; 5],
-    /// 1-based marker positions.
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q` (clamped into `[0, 1]`).
-    pub fn new(q: f64) -> Self {
-        let q = if q.is_finite() { q.clamp(0.0, 1.0) } else { 0.5 };
-        Self {
-            q,
-            n: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-        }
-    }
-
-    /// The median estimator, `P2Quantile::new(0.5)`.
-    pub fn median() -> Self {
-        Self::new(0.5)
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Observe one value. Non-finite observations are ignored.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.n < 5 {
-            self.heights[self.n] = x;
-            self.n += 1;
-            if self.n == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        // Which cell does x fall into?
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-        self.n += 1;
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.heights[i] = if self.heights[i - 1] < candidate
-                    && candidate < self.heights[i + 1]
-                {
-                    candidate
-                } else {
-                    self.linear(i, s)
-                };
-                self.positions[i] += s;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height update.
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + s / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + s) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - s) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic candidate leaves the bracket.
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + s * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current estimate; exact below five observations, the middle
-    /// marker after. 0.0 when empty.
-    pub fn estimate(&self) -> f64 {
-        match self.n {
-            0 => 0.0,
-            n if n < 5 => {
-                let mut v = self.heights[..n].to_vec();
-                v.sort_by(f64::total_cmp);
-                let rank = (self.q * (n - 1) as f64).round() as usize;
-                v[rank.min(n - 1)]
-            }
-            _ => self.heights[2],
-        }
-    }
-}
+use crate::{stats, FeatureQuality};
 
 /// One per-transaction metric series (DL size, duration, …): running
-/// min/max (exact), exact median, and Welford mean/variance for live
-/// monitoring.
-#[derive(Debug, Clone, Default)]
+/// min/max and the observed values, so the median is computed on read by
+/// the same [`stats::median`] kernel the batch extractor uses.
+#[derive(Debug, Clone)]
 pub struct SeriesStats {
-    n: usize,
+    values: Vec<f64>,
     min: f64,
     max: f64,
-    median: StreamingMedian,
-    moments: Welford,
 }
 
 impl SeriesStats {
     /// Empty series.
     pub fn new() -> Self {
-        Self {
-            n: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            median: StreamingMedian::new(),
-            moments: Welford::new(),
-        }
+        Self { values: Vec::new(), min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     /// Observe one value.
     pub fn push(&mut self, x: f64) {
-        self.n += 1;
         self.min = f64::min(self.min, x);
         self.max = f64::max(self.max, x);
-        self.median.push(x);
-        self.moments.push(x);
+        self.values.push(x);
     }
 
     /// Observations so far.
     pub fn count(&self) -> usize {
-        self.n
+        self.values.len()
     }
 
     /// Running minimum; 0.0 when empty (matching `stats::min`).
     pub fn min(&self) -> f64 {
-        if self.n == 0 {
+        if self.values.is_empty() {
             0.0
         } else {
             self.min
@@ -335,26 +67,23 @@ impl SeriesStats {
 
     /// Running maximum; 0.0 when empty (matching `stats::max`).
     pub fn max(&self) -> f64 {
-        if self.n == 0 {
+        if self.values.is_empty() {
             0.0
         } else {
             self.max
         }
     }
 
-    /// Exact running median; 0.0 when empty (matching `stats::median`).
+    /// Exact median of the values so far; 0.0 when empty (it is
+    /// `stats::median`).
     pub fn median(&self) -> f64 {
-        self.median.median()
+        stats::median(&self.values)
     }
+}
 
-    /// Streaming mean (Welford).
-    pub fn mean(&self) -> f64 {
-        self.moments.mean()
-    }
-
-    /// Streaming population standard deviation (Welford).
-    pub fn std_dev(&self) -> f64 {
-        self.moments.std_dev()
+impl Default for SeriesStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -551,7 +280,7 @@ impl Default for TlsSessionAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extract_tls_features_checked, extract_tls_features_checked_with_intervals, stats};
+    use crate::{extract_tls_features_checked, extract_tls_features_checked_with_intervals};
     use std::sync::Arc;
 
     fn tx(start: f64, end: f64, up: f64, down: f64) -> TlsTransactionRecord {
@@ -566,63 +295,6 @@ mod tests {
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn welford_matches_batch_moments() {
-        let xs = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.6];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - stats::mean(&xs)).abs() < 1e-12);
-        assert!((w.std_dev() - stats::std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(w.count(), xs.len() as u64);
-        assert_eq!(Welford::new().mean(), 0.0);
-        assert_eq!(Welford::new().std_dev(), 0.0);
-    }
-
-    #[test]
-    fn streaming_median_is_exact() {
-        let mut m = StreamingMedian::new();
-        assert_eq!(m.median(), 0.0);
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0, 4.0, -1.0, 0.0];
-        let mut sofar = Vec::new();
-        for &x in &xs {
-            m.push(x);
-            sofar.push(x);
-            assert_eq!(
-                m.median().to_bits(),
-                stats::median(&sofar).to_bits(),
-                "after {sofar:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_sketch_tracks_quantiles_approximately() {
-        let mut p = P2Quantile::median();
-        assert_eq!(p.estimate(), 0.0);
-        // Deterministic pseudo-uniform stream over (0, 1).
-        let mut x = 0.5f64;
-        let mut n = 0;
-        for _ in 0..5000 {
-            x = (x * 1103515245.0 + 12345.0) % 1.0;
-            p.push(x);
-            n += 1;
-        }
-        assert_eq!(p.count(), n);
-        let est = p.estimate();
-        assert!((est - 0.5).abs() < 0.1, "median estimate {est}");
-        let mut p95 = P2Quantile::new(0.95);
-        for i in 0..1000 {
-            p95.push(f64::from(i % 100));
-        }
-        let est = p95.estimate();
-        assert!((80.0..=100.0).contains(&est), "p95 estimate {est}");
-        // Non-finite observations are ignored, not absorbed.
-        p95.push(f64::NAN);
-        assert!(p95.estimate().is_finite());
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! times these functions for the paper's 60× compute-overhead claim.
 //!
 //! For online use, [`accum`] provides push-based accumulators
-//! ([`TlsSessionAccumulator`], [`Welford`], [`StreamingMedian`],
-//! [`P2Quantile`]) that maintain the TLS feature vector incrementally —
-//! bitwise-equal to the batch extractor over sorted input (see the module
-//! docs for the exactness guarantees).
+//! ([`TlsSessionAccumulator`], [`SeriesStats`]) that maintain the TLS
+//! feature vector incrementally — bitwise-equal to the batch extractor
+//! over sorted input (see the module docs for the exactness guarantees).
 
 pub mod accum;
 pub mod flow;
@@ -27,7 +26,7 @@ pub mod packet;
 pub mod stats;
 pub mod tls;
 
-pub use accum::{P2Quantile, SeriesStats, StreamingMedian, TlsSessionAccumulator, Welford};
+pub use accum::{SeriesStats, TlsSessionAccumulator};
 
 pub use flow::{extract_flow_features, flow_feature_names};
 pub use packet::{extract_packet_features, extract_packet_features_batch, packet_feature_names};

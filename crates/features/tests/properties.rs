@@ -2,6 +2,7 @@
 
 use dtp_features::{
     extract_flow_features, extract_packet_features, flow_feature_names, packet_feature_names,
+    stats, SeriesStats,
 };
 use dtp_telemetry::{Direction, FlowRecord, PacketCapture, PacketRecord};
 use proptest::prelude::*;
@@ -89,5 +90,21 @@ proptest! {
         let b = vol(&split);
         prop_assert!((a - b).abs() <= 1e-6 * (1.0 + a.abs()).max(1.0) * 8.0,
             "volumes differ: {} vs {}", a, b);
+    }
+
+    /// The streaming series accumulator reads min/median/max bitwise
+    /// equal to the batch statistics kernel after every single push.
+    #[test]
+    fn series_stats_bitwise_equal_batch(xs in proptest::collection::vec(-1e12f64..1e12, 0..200)) {
+        let mut s = SeriesStats::new();
+        prop_assert_eq!(s.median().to_bits(), stats::median(&[]).to_bits());
+        for i in 0..xs.len() {
+            s.push(xs[i]);
+            let prefix = &xs[..=i];
+            prop_assert_eq!(s.count(), i + 1);
+            prop_assert_eq!(s.min().to_bits(), stats::min(prefix).to_bits());
+            prop_assert_eq!(s.max().to_bits(), stats::max(prefix).to_bits());
+            prop_assert_eq!(s.median().to_bits(), stats::median(prefix).to_bits());
+        }
     }
 }

@@ -6,19 +6,26 @@
 //! fast as the hardware allows for millions of sessions. Every hot path in
 //! this workspace — per-tree forest fitting, per-fold cross-validation,
 //! per-session feature extraction, per-experiment bench fan-out — is an
-//! *independent-items* loop, which this crate turns into a scoped,
-//! work-stealing parallel map with three hard guarantees:
+//! *independent-items* loop, which this crate turns into a work-stealing
+//! parallel map over a spawn-once thread pool, with three hard guarantees:
 //!
 //! 1. **Determinism.** [`par_map`] writes result `i` into slot `i`; output
 //!    order never depends on scheduling. Randomized tasks derive their RNG
 //!    stream from [`task_seed`]`(base, i)` so tree 17 sees the same stream
 //!    whether it runs on one thread or eight — parallel output is bitwise
 //!    identical to serial output.
-//! 2. **Zero dependencies.** `std::thread::scope` + `Mutex<VecDeque>`
-//!    deques, nothing else. The workspace stays air-gapped.
+//! 2. **Zero dependencies.** Worker threads spawned once and parked on a
+//!    `Condvar` between calls, `Mutex<VecDeque>` deques, nothing else. The
+//!    workspace stays air-gapped.
 //! 3. **Serial fallback.** `DTP_THREADS=1` (or a single-core host, or a
 //!    call from inside a worker — nested parallelism never oversubscribes)
 //!    runs the plain serial loop on the caller's thread.
+//!
+//! The calling thread does worker 0's share, so a call at `k` threads
+//! wakes `k - 1` pool workers; the pool grows to the largest `k` ever
+//! requested. A call that finds the pool owned by another thread runs
+//! serially instead of waiting, and a panicking task is re-raised on the
+//! caller once every worker has finished the call.
 //!
 //! Thread count resolution order: [`with_threads`] scoped override →
 //! `DTP_THREADS` env var → `std::thread::available_parallelism()`.

@@ -1,22 +1,33 @@
-//! The scoped work-stealing pool behind [`par_map`](crate::par_map).
+//! The spawn-once work-stealing pool behind [`par_map`](crate::par_map).
 //!
-//! Each call pre-splits the index range into chunks (about four per
-//! worker), deals them round-robin onto per-worker deques, and spawns a
-//! scoped worker per thread. Workers pop their own deque from the front
-//! and, when empty, steal from a victim's back — the classic arrangement
-//! that keeps owners cache-local while spreading stragglers. No work is
-//! ever *produced* after start, so "every deque empty" is a terminal
-//! state and workers simply exit on it.
+//! Worker threads are spawned on first use and grown to the largest worker
+//! count any call has asked for; between calls they sleep on a condvar. A
+//! call pre-splits the index range into chunks (about four per worker),
+//! deals them round-robin onto per-worker deques, wakes the workers it
+//! needs, and runs worker 0's share on the calling thread. Workers pop
+//! their own deque from the front and, when empty, steal from a victim's
+//! back — the classic arrangement that keeps owners cache-local while
+//! spreading stragglers. No work is ever *produced* after start, so "every
+//! deque empty" is a terminal state: each participant returns on it, and
+//! the caller waits for every participant before it reads the output.
 //!
 //! Results are written straight into slot `i` of the output vector through
 //! a shared raw pointer. Chunks partition `0..n`, so every slot is written
 //! by exactly one worker — no two threads ever touch the same element.
+//!
+//! One call owns the pool at a time. A call that finds it owned by another
+//! thread runs serially on its own thread rather than wait, so unrelated
+//! callers never block or deadlock each other.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+
+use dtp_obs::Counter;
 
 /// Upper bound on workers per call, a sanity clamp for absurd env values.
 const MAX_THREADS: usize = 256;
@@ -27,9 +38,32 @@ const CHUNKS_PER_WORKER: usize = 4;
 thread_local! {
     /// Scoped [`with_threads`] override for this thread.
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// True on pool worker threads: nested calls run serial instead of
-    /// spawning a second level of workers (oversubscription guard).
+    /// True on pool worker threads, and on a caller while it runs its own
+    /// share: nested calls run serial instead of fanning out a second
+    /// level (oversubscription guard).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Cached handles for the `par.*` counters, so a call does no registry
+/// lookup.
+struct ParMetrics {
+    tasks: Counter,
+    steals: Counter,
+    parallel_calls: Counter,
+    serial_calls: Counter,
+}
+
+fn metrics() -> &'static ParMetrics {
+    static METRICS: OnceLock<ParMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = dtp_obs::global();
+        ParMetrics {
+            tasks: reg.counter("par.tasks"),
+            steals: reg.counter("par.steals"),
+            parallel_calls: reg.counter("par.parallel_calls"),
+            serial_calls: reg.counter("par.serial_calls"),
+        }
+    })
 }
 
 /// The worker count a parallel call issued right now would use.
@@ -71,10 +105,200 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Output slots shared with workers. Safety contract: the pointee vector
-/// outlives the scope, and workers write disjoint indices exactly once.
+/// Run `f` with this thread marked as a pool worker, restoring the flag
+/// when `f` returns or unwinds.
+fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|c| c.replace(true)));
+    f()
+}
+
+/// Pool state shared by the owning caller and the workers.
+struct State {
+    /// Worker threads spawned so far; they hold indices `1..=spawned`.
+    spawned: usize,
+    /// Bumped once per job; each worker remembers the last one it saw.
+    generation: u64,
+    /// The current call's per-worker body, present from publication until
+    /// every participant has returned from it. Its borrow lifetime is
+    /// erased (see the `SAFETY` note in [`Claim::run`]).
+    job: Option<&'static (dyn Fn(usize) + Sync)>,
+    /// Worker indices `1..participants` run the current job.
+    participants: usize,
+    /// Participating workers that have not yet returned from the job.
+    running: usize,
+    /// The first panic a worker raised during the current job.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+struct Pool {
+    /// Set while one call owns the pool. The `Acquire` that claims it pairs
+    /// with the `Release` that frees it, so each owner sees its
+    /// predecessor's writes.
+    busy: AtomicBool,
+    state: Mutex<State>,
+    /// Signalled when a job is published.
+    wake: Condvar,
+    /// Signalled when the last participating worker returns.
+    done: Condvar,
+}
+
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool {
+        busy: AtomicBool::new(false),
+        state: Mutex::new(State {
+            spawned: 0,
+            generation: 0,
+            job: None,
+            participants: 0,
+            running: 0,
+            panic: None,
+        }),
+        wake: Condvar::new(),
+        done: Condvar::new(),
+    })
+}
+
+impl Pool {
+    /// Lock the state. Jobs run outside the lock and worker panics are
+    /// caught, so poisoning carries no broken invariant and is ignored.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take ownership of the pool for one call; `None` if another call
+    /// holds it.
+    fn claim(&'static self) -> Option<Claim> {
+        self.busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| Claim(self))
+    }
+
+    /// A worker thread's life: sleep until a job names it a participant,
+    /// run its share, report back, repeat.
+    fn work(&'static self, index: usize) {
+        IN_WORKER.with(|c| c.set(true));
+        let mut seen = 0;
+        loop {
+            let job = {
+                let mut st = self.lock();
+                loop {
+                    if st.generation != seen {
+                        seen = st.generation;
+                        if let Some(job) = st.job.filter(|_| index < st.participants) {
+                            break job;
+                        }
+                    }
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| job(index)));
+            let mut st = self.lock();
+            if let Err(payload) = result {
+                st.panic.get_or_insert(payload);
+            }
+            st.running -= 1;
+            if st.running == 0 {
+                self.done.notify_one();
+            }
+        }
+    }
+}
+
+/// Ownership of the pool for the duration of one call; released on drop,
+/// including when the call unwinds.
+struct Claim(&'static Pool);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.0.busy.store(false, Ordering::Release);
+    }
+}
+
+impl Claim {
+    /// Grow the pool to at least `workers` threads; returns how many exist
+    /// (fewer if the OS refuses to spawn more). Workers live as long as the
+    /// process, so their join handles are dropped: they never exit, and a
+    /// task's panic is caught in [`Pool::work`] and re-raised on the caller.
+    fn grow(&self, workers: usize) -> usize {
+        let pool = self.0;
+        let mut st = pool.lock();
+        while st.spawned < workers {
+            let index = st.spawned + 1;
+            let spawned = std::thread::Builder::new()
+                .name(format!("dtp-par-{index}"))
+                .spawn(move || pool.work(index));
+            if spawned.is_err() {
+                break;
+            }
+            st.spawned = index;
+        }
+        st.spawned
+    }
+
+    /// Run `body(w)` for every `w` in `0..threads`: worker 0 on the
+    /// calling thread, the others on pool workers `1..threads` (which must
+    /// exist, see [`Claim::grow`]). Returns once every participant has
+    /// returned; a panic in any share is then re-raised here.
+    fn run<'a>(&self, threads: usize, body: &'a (dyn Fn(usize) + Sync + 'a)) {
+        let pool = self.0;
+        // SAFETY: this erases the borrow's lifetime so pool threads can
+        // hold `body`. It is sound because this function does not return,
+        // normally or by unwinding, before every participating worker has
+        // returned from `body` and the job has been taken back out of the
+        // shared state: the caller's own share runs under `catch_unwind`,
+        // and nothing else between publication and the wait below can
+        // unwind. No worker touches `body` after that point.
+        let job = unsafe {
+            std::mem::transmute::<&'a (dyn Fn(usize) + Sync + 'a), &'static (dyn Fn(usize) + Sync)>(
+                body,
+            )
+        };
+        {
+            let mut st = pool.lock();
+            st.generation += 1;
+            st.job = Some(job);
+            st.participants = threads;
+            st.running = threads - 1;
+        }
+        pool.wake.notify_all();
+
+        let own = panic::catch_unwind(AssertUnwindSafe(|| as_worker(|| body(0))));
+
+        let worker_panic = {
+            let mut st = pool.lock();
+            while st.running > 0 {
+                st = pool.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            st.job = None;
+            st.panic.take()
+        };
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = worker_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Output slots shared with workers.
 struct Slots<R>(*mut Option<R>);
+// SAFETY: the one field points into the output vector of a
+// `par_map_index` call, which outlives every worker's use of it (the call
+// waits for all of them). Workers write disjoint indices exactly once, so
+// no slot is shared; `R: Send` because each `R` is made on one thread and
+// dropped or returned on another.
 unsafe impl<R: Send> Send for Slots<R> {}
+// SAFETY: as for `Send`: `&Slots` only hands out the pointer, and writes
+// through it go to disjoint slots.
 unsafe impl<R: Send> Sync for Slots<R> {}
 
 /// Parallel map over an index range: returns `[f(0), f(1), .., f(n-1)]`.
@@ -83,6 +307,8 @@ unsafe impl<R: Send> Sync for Slots<R> {}
 /// per-index-seeded) `f`, at any thread count — only wall-clock changes.
 /// `label` names the stage for observability: the call is timed under a
 /// `par.<label>` span and tasks/steals land in the global registry.
+///
+/// A panic in `f` propagates to the caller once every worker has stopped.
 pub fn par_map_index<R, F>(label: &str, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -90,15 +316,23 @@ where
 {
     let span_name = format!("par.{label}");
     let _span = dtp_obs::span::SpanGuard::enter(&span_name);
-    let registry = dtp_obs::global();
-    registry.counter("par.tasks").add(n as u64);
+    let metrics = metrics();
+    metrics.tasks.add(n as u64);
 
-    let threads = thread_count().min(n.max(1));
-    if threads <= 1 {
-        registry.counter("par.serial_calls").inc();
+    let wanted = thread_count().min(n.max(1));
+    if wanted <= 1 {
+        metrics.serial_calls.inc();
         return (0..n).map(f).collect();
     }
-    registry.counter("par.parallel_calls").inc();
+    let claim = pool().claim();
+    let threads = claim.as_ref().map_or(1, |c| wanted.min(c.grow(wanted - 1) + 1));
+    let Some(claim) = claim.filter(|_| threads > 1) else {
+        // The pool is owned by another thread's call (or cannot spawn):
+        // run serially here, still as a worker so nested calls stay serial.
+        metrics.serial_calls.inc();
+        return as_worker(|| (0..n).map(f).collect());
+    };
+    metrics.parallel_calls.inc();
 
     // Deal chunks round-robin onto per-worker deques.
     let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
@@ -116,44 +350,35 @@ where
     let steals = AtomicU64::new(0);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let slots = Slots(out.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        let queues = &queues;
-        let steals = &steals;
+    let body = |w: usize| {
         let slots = &slots;
-        let f = &f;
-        for w in 0..threads {
-            scope.spawn(move || {
-                IN_WORKER.with(|c| c.set(true));
-                loop {
-                    // Own deque first (front), then steal (back).
-                    let mut job = queues[w].lock().expect("queue mutex").pop_front();
-                    if job.is_none() {
-                        for off in 1..threads {
-                            let victim = (w + off) % threads;
-                            if let Some(r) =
-                                queues[victim].lock().expect("queue mutex").pop_back()
-                            {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                                job = Some(r);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(range) = job else { break };
-                    for i in range {
-                        let r = f(i);
-                        // SAFETY: chunks partition 0..n, so index `i` is
-                        // written by exactly this worker, exactly once,
-                        // while `out` itself is untouched by the parent.
-                        unsafe { *slots.0.add(i) = Some(r) };
+        loop {
+            // Own deque first (front), then steal (back).
+            let mut job = queues[w].lock().expect("queue mutex").pop_front();
+            if job.is_none() {
+                for off in 1..threads {
+                    let victim = (w + off) % threads;
+                    if let Some(r) = queues[victim].lock().expect("queue mutex").pop_back() {
+                        steals.fetch_add(1, Ordering::Relaxed);
+                        job = Some(r);
+                        break;
                     }
                 }
-            });
+            }
+            let Some(range) = job else { break };
+            for i in range {
+                let r = f(i);
+                // SAFETY: chunks partition 0..n, so index `i` is written
+                // by exactly this worker, exactly once, while `out` itself
+                // is untouched until every worker has returned.
+                unsafe { *slots.0.add(i) = Some(r) };
+            }
         }
-    });
+    };
+    claim.run(threads, &body);
+    drop(claim);
 
-    registry.counter("par.steals").add(steals.load(Ordering::Relaxed));
+    metrics.steals.add(steals.load(Ordering::Relaxed));
     out.into_iter()
         .map(|slot| slot.expect("every index in 0..n was chunked to a worker"))
         .collect()

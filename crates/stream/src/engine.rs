@@ -28,12 +28,39 @@
 //! `SessionSplitter → extract_tls_features_batch → QoeEstimator` pipeline.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dtp_core::{QoeCategory, QoeEstimator, SessionIdParams, SessionSplitter};
+use dtp_obs::{Counter, Gauge, Histogram};
 use dtp_telemetry::{sanitize_record, IngestStats, Stopwatch, TlsTransactionRecord};
 
 use crate::tracker::{ClientTracker, ClosedSession, CloseReason};
+
+/// Cached handles for the global `stream.*` metrics, so the per-record
+/// path is an atomic update, not a registry lookup.
+struct StreamMetrics {
+    records: Counter,
+    late: Counter,
+    quarantined: Counter,
+    sessions_open: Gauge,
+    emit_ms: Histogram,
+    sessions_emitted: Counter,
+}
+
+fn metrics() -> &'static StreamMetrics {
+    static METRICS: OnceLock<StreamMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = dtp_obs::global();
+        StreamMetrics {
+            records: reg.counter("stream.records"),
+            late: reg.counter("stream.late"),
+            quarantined: reg.counter("stream.quarantined"),
+            sessions_open: reg.gauge("stream.sessions_open"),
+            emit_ms: reg.histogram("stream.emit_ms"),
+            sessions_emitted: reg.counter("stream.sessions_emitted"),
+        }
+    })
+}
 
 /// Streaming engine configuration. [`Default`] gives the paper's session
 /// parameters, a 3 s reorder window, a 120 s idle timeout, 16 shards, and
@@ -250,8 +277,8 @@ impl StreamEngine {
     /// micro-batch this push completed (usually empty — emission is
     /// batched; see [`StreamConfig::micro_batch`]).
     pub fn push(&mut self, client: &str, rec: TlsTransactionRecord) -> Vec<SessionVerdict> {
-        let obs = dtp_obs::global();
-        obs.counter("stream.records").inc();
+        let obs = metrics();
+        obs.records.inc();
         self.stats.records_in += 1;
         let rec = match sanitize_record(rec) {
             Ok((rec, validity)) => {
@@ -260,35 +287,31 @@ impl StreamEngine {
             }
             Err(e) => {
                 self.ingest.note_quarantine(&e);
-                obs.counter("stream.quarantined").inc();
+                obs.quarantined.inc();
                 return Vec::new();
             }
         };
         if rec.start_s < self.watermark() {
             // Too old to order correctly: past the tolerated disorder.
             self.stats.late_dropped += 1;
-            obs.counter("stream.late").inc();
+            obs.late.inc();
             return Vec::new();
         }
         self.stats.accepted += 1;
         self.max_event_s = self.max_event_s.max(rec.start_s);
         let watermark = self.watermark();
 
-        let shard = fnv1a(client.as_bytes()) as usize % self.cfg.shards;
-        let open_before;
-        let open_after;
-        {
-            let tracker = self.shards[shard]
-                .entry(Arc::from(client))
-                .or_insert_with(|| {
-                    ClientTracker::new(Arc::from(client), self.cfg.session)
-                });
-            open_before = tracker.has_open_session();
-            tracker.offer(rec);
-            tracker.drain(watermark, &mut self.ready);
-            open_after = tracker.has_open_session();
+        let shard = &mut self.shards[fnv1a(client.as_bytes()) as usize % self.cfg.shards];
+        if !shard.contains_key(client) {
+            // First record from this client: the only key allocation.
+            let key: Arc<str> = Arc::from(client);
+            shard.insert(Arc::clone(&key), ClientTracker::new(key, self.cfg.session));
         }
-        track_open_delta(open_before, open_after);
+        let tracker = shard.get_mut(client).expect("tracker inserted above");
+        let open_before = tracker.has_open_session();
+        tracker.offer(rec);
+        tracker.drain(watermark, &mut self.ready);
+        track_open_delta(open_before, tracker.has_open_session());
 
         if self.stats.accepted.is_multiple_of(self.cfg.expiry_scan_every) {
             self.expire_idle();
@@ -361,18 +384,19 @@ impl StreamEngine {
         if self.ready.is_empty() || (!force && self.ready.len() < self.cfg.micro_batch) {
             return Vec::new();
         }
-        let obs = dtp_obs::global();
+        let obs = metrics();
         let _span = dtp_obs::span!("stream.emit");
         let sw = Stopwatch::start();
-        let batch = std::mem::take(&mut self.ready);
-        let rows: Vec<Vec<f64>> = batch.iter().map(|c| c.features.clone()).collect();
+        let mut batch = std::mem::take(&mut self.ready);
+        let rows: Vec<Vec<f64>> =
+            batch.iter_mut().map(|c| std::mem::take(&mut c.features)).collect();
         // Micro-batch scoring fans out over the dtp-par pool.
         let probas = self.estimator.predict_proba_features_batch(&rows);
         let emit_ms = sw.elapsed_s() * 1e3;
-        obs.histogram("stream.emit_ms").observe(emit_ms);
-        obs.counter("stream.sessions_emitted").add(batch.len() as u64);
+        obs.emit_ms.observe(emit_ms);
+        obs.sessions_emitted.add(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
-        for (closed, probabilities) in batch.into_iter().zip(probas) {
+        for ((closed, features), probabilities) in batch.into_iter().zip(rows).zip(probas) {
             // First-max argmax: the forest's own predict() convention, so
             // streaming predictions match the batch pipeline bitwise.
             let mut predicted = 0;
@@ -393,7 +417,7 @@ impl StreamEngine {
                 start_s: closed.start_s,
                 end_s: closed.end_s,
                 transactions: closed.transactions,
-                features: closed.features,
+                features,
                 quality: closed.quality,
                 predicted,
                 category: QoeCategory::from_index(predicted),
@@ -409,9 +433,7 @@ impl StreamEngine {
 /// open-session transition.
 fn track_open_delta(before: bool, after: bool) {
     if before != after {
-        dtp_obs::global()
-            .gauge("stream.sessions_open")
-            .add(if after { 1.0 } else { -1.0 });
+        metrics().sessions_open.add(if after { 1.0 } else { -1.0 });
     }
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: release build, full test suite (serial and 2-thread),
-# doc tests, lint-clean, and smoke runs of the pipeline cost profiler, the
+# Offline CI gate: release build, full test suite (serial and 2-thread; the
+# pool and stream suites also at 4 threads), doc tests, lint-clean, and
+# smoke runs of the pipeline cost profiler, the
 # parallel execution benchmark, and the streaming soak (their JSON
 # artifacts must carry the documented schema keys).
 set -euo pipefail
@@ -13,6 +14,11 @@ cargo test -q --doc --workspace
 # every result must be identical, so any test that fails only here is a
 # scheduling bug.
 DTP_THREADS=2 cargo test -q --workspace
+# Four threads on any host: the dtp-par pool must grow past the size its
+# first calls gave it, and the stream must still match the batch pipeline
+# and its golden fixtures bit for bit.
+DTP_THREADS=4 cargo test -q -p dtp-par -p dtp-stream
+DTP_THREADS=4 cargo test -q --test stream_vs_batch --test golden_fixtures
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p dtp-obs --all-targets -- -D warnings
 cargo clippy -p dtp-par --all-targets -- -D warnings
