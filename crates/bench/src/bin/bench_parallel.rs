@@ -20,8 +20,7 @@
 //! count — on a single-core machine every ratio is ~1.0 by construction.
 
 use dtp_bench::{heading, Reporter, RunConfig, TextTable};
-use dtp_core::label::{combined_label, quality_category, rebuffering_label};
-use dtp_core::sim::{simulate_session, SessionConfig};
+use dtp_core::sim::{session_seed, simulate_corpus};
 use dtp_core::ServiceId;
 use dtp_features::{extract_tls_features_batch, tls_feature_names};
 use dtp_ml::{cross_validate, Classifier, Dataset, RandomForest, RandomForestConfig};
@@ -178,21 +177,10 @@ fn build_sessions(
     seed: u64,
 ) -> (Vec<Vec<TlsTransactionRecord>>, Vec<usize>) {
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0x0b57);
-    let mut tls = Vec::with_capacity(sessions);
-    let mut labels = Vec::with_capacity(sessions);
-    for (i, e) in traces.entries().iter().enumerate() {
-        let s = simulate_session(&SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: false,
-        });
-        let q = quality_category(&s.ground_truth, &s.profile);
-        let r = rebuffering_label(&s.ground_truth);
-        labels.push(combined_label(q, r).index());
-        tls.push(s.telemetry.tls.into_transactions());
-    }
-    (tls, labels)
+    simulate_corpus(service, &traces, false, session_seed(seed), |s| {
+        let label = s.combined_qoe().index();
+        (s.telemetry.tls.into_transactions(), label)
+    })
+    .into_iter()
+    .unzip()
 }

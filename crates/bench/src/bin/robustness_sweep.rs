@@ -14,8 +14,7 @@
 //! binary verifies this and fails loudly if it does not.
 
 use dtp_bench::{heading, pct, Reporter, RunConfig, TextTable};
-use dtp_core::label::{combined_label, quality_category, rebuffering_label};
-use dtp_core::sim::{simulate_session, SessionConfig};
+use dtp_core::sim::{session_seed, simulate_corpus};
 use dtp_core::{QoeEstimator, ServiceId};
 use dtp_faults::{FaultInjector, FaultPlan, FaultReport};
 use dtp_features::extract_tls_features_checked;
@@ -153,21 +152,13 @@ fn build_split(
     seed: u64,
 ) -> (Vec<(Vec<TlsTransactionRecord>, usize)>, Vec<(Vec<TlsTransactionRecord>, usize)>) {
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0x0b57);
+    let simulated = simulate_corpus(service, &traces, false, session_seed(seed), |s| {
+        let label = s.combined_qoe().index();
+        (s.telemetry.tls.into_transactions(), label)
+    });
     let mut train = Vec::new();
     let mut test = Vec::new();
-    for (i, e) in traces.entries().iter().enumerate() {
-        let s = simulate_session(&SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: false,
-        });
-        let q = quality_category(&s.ground_truth, &s.profile);
-        let r = rebuffering_label(&s.ground_truth);
-        let label = combined_label(q, r).index();
-        let entry = (s.telemetry.tls.into_transactions(), label);
+    for (i, entry) in simulated.into_iter().enumerate() {
         if i % 2 == 0 {
             train.push(entry);
         } else {

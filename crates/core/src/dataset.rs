@@ -18,7 +18,7 @@ use dtp_simnet::TraceCorpus;
 use crate::label::{
     combined_label, quality_category, rebuffering_label, QoeCategory, QoeMetricKind, RebufCategory,
 };
-use crate::sim::{simulate_session, SessionConfig};
+use crate::sim::{simulate_corpus, SimulatedSession};
 
 /// One simulated, feature-extracted, labelled session.
 #[derive(Debug, Clone)]
@@ -136,15 +136,14 @@ pub struct DatasetBuilder {
     sessions: usize,
     seed: u64,
     capture_packets: bool,
-    threads: usize,
 }
 
 impl DatasetBuilder {
-    /// Builder with defaults: 200 sessions, seed 0, no packet capture,
-    /// parallel across available cores.
+    /// Builder with defaults: 200 sessions, seed 0, no packet capture.
+    /// Sessions are simulated on `dtp-par` workers (`DTP_THREADS`); the
+    /// corpus is the same at any thread count.
     pub fn new(service: ServiceId) -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Self { service, sessions: 200, seed: 0, capture_packets: false, threads }
+        Self { service, sessions: 200, seed: 0, capture_packets: false }
     }
 
     /// The paper's session count for this service (2111/2216/1440).
@@ -176,52 +175,29 @@ impl DatasetBuilder {
         self
     }
 
-    /// Limit worker threads (1 = fully sequential).
-    pub fn threads(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one thread");
-        self.threads = n;
-        self
-    }
-
     /// Simulate, extract, and label the corpus.
     pub fn build(&self) -> Corpus {
         let _span = dtp_obs::span!("dataset.build");
+        let (seed, salt, capture) = (self.seed, service_salt(self.service), self.capture_packets);
         let traces = {
             let _g = dtp_obs::span!("generate");
-            TraceCorpus::paper_mix(self.sessions, self.seed ^ service_salt(self.service))
+            TraceCorpus::paper_mix(self.sessions, seed ^ salt)
         };
-        let entries = traces.entries();
-
-        let chunk = entries.len().div_ceil(self.threads);
-        let mut all: Vec<Vec<(SessionRecord, f64, f64)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (ci, part) in entries.chunks(chunk).enumerate() {
-                let base = ci * chunk;
-                let service = self.service;
-                let seed = self.seed;
-                let capture = self.capture_packets;
-                handles.push(scope.spawn(move || {
-                    part.iter()
-                        .enumerate()
-                        .map(|(j, e)| build_one(service, seed, (base + j) as u64, e, capture))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                all.push(h.join().expect("worker panicked"));
-            }
-        });
+        let all = simulate_corpus(
+            self.service,
+            &traces,
+            capture,
+            |i| seed.wrapping_mul(0x9e37_79b9).wrapping_add(i).wrapping_mul(0x85eb_ca6b) ^ salt,
+            |session| record_of(session, capture),
+        );
 
         let mut records = Vec::with_capacity(self.sessions);
         let mut tls_extraction_s = 0.0;
         let mut packet_extraction_s = 0.0;
-        for part in all {
-            for (rec, t_tls, t_pkt) in part {
-                records.push(rec);
-                tls_extraction_s += t_tls;
-                packet_extraction_s += t_pkt;
-            }
+        for (rec, t_tls, t_pkt) in all {
+            records.push(rec);
+            tls_extraction_s += t_tls;
+            packet_extraction_s += t_pkt;
         }
         Corpus { service: self.service, records, tls_extraction_s, packet_extraction_s }
     }
@@ -235,27 +211,8 @@ fn service_salt(service: ServiceId) -> u64 {
     }
 }
 
-fn build_one(
-    service: ServiceId,
-    corpus_seed: u64,
-    index: u64,
-    entry: &dtp_simnet::generate::CorpusEntry,
-    capture_packets: bool,
-) -> (SessionRecord, f64, f64) {
-    let cfg = SessionConfig {
-        service,
-        trace: entry.trace.clone(),
-        kind: entry.kind,
-        watch_duration_s: entry.watch_duration_s,
-        seed: corpus_seed
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(index)
-            .wrapping_mul(0x85eb_ca6b)
-            ^ service_salt(service),
-        capture_packets,
-    };
-    let session = simulate_session(&cfg);
-
+/// Extract, time and label one simulated session.
+fn record_of(session: SimulatedSession, capture_packets: bool) -> (SessionRecord, f64, f64) {
     let t0 = Instant::now();
     let tls_features = extract_tls_features(session.telemetry.tls.transactions());
     let tls_s = t0.elapsed().as_secs_f64();
@@ -271,7 +228,7 @@ fn build_one(
     let quality = quality_category(&session.ground_truth, &session.profile);
     let rebuf = rebuffering_label(&session.ground_truth);
     let record = SessionRecord {
-        service,
+        service: session.service,
         tls_features,
         packet_features,
         quality,
@@ -308,11 +265,22 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let a = DatasetBuilder::new(ServiceId::Svc3).sessions(12).seed(7).threads(1).build();
-        let b = DatasetBuilder::new(ServiceId::Svc3).sessions(12).seed(7).threads(4).build();
+        let build = |threads| {
+            dtp_par::with_threads(threads, || {
+                DatasetBuilder::new(ServiceId::Svc3)
+                    .sessions(12)
+                    .seed(7)
+                    .capture_packets(true)
+                    .build()
+            })
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (build(1), build(4));
         assert_eq!(a.len(), b.len());
         for (ra, rb) in a.records.iter().zip(&b.records) {
-            assert_eq!(ra.tls_features, rb.tls_features);
+            assert_eq!(bits(&ra.tls_features), bits(&rb.tls_features));
+            let (pa, pb) = (ra.packet_features.as_ref(), rb.packet_features.as_ref());
+            assert_eq!(pa.map(|p| bits(p)), pb.map(|p| bits(p)));
             assert_eq!(ra.combined, rb.combined);
         }
     }

@@ -9,10 +9,12 @@ use dtp_ml::{
     RandomForest, StandardScaler,
 };
 use dtp_ml::{ConfusionMatrix, Dataset};
+use dtp_simnet::TraceCorpus;
 
 use crate::dataset::Corpus;
 use crate::estimator::QoeEstimator;
 use crate::label::QoeMetricKind;
+use crate::sim::{session_seed, simulate_corpus};
 
 /// The three headline numbers the paper reports per experiment cell:
 /// overall accuracy plus precision/recall of the problem (low-QoE) class.
@@ -41,6 +43,13 @@ impl MetricScores {
     }
 }
 
+/// 5-fold cross-validated scores of the paper's Random Forest on `ds`.
+fn forest_scores(ds: &Dataset, seed: u64) -> MetricScores {
+    MetricScores::from_cv(&cross_validate(ds, 5, seed, move || {
+        Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
+    }))
+}
+
 /// Fig. 5: accuracy / recall / precision for each QoE metric on one service.
 pub fn fig5_accuracy(corpus: &Corpus, seed: u64) -> Vec<(QoeMetricKind, MetricScores)> {
     QoeMetricKind::ALL
@@ -63,10 +72,7 @@ pub fn table3_ablation(corpus: &Corpus, seed: u64) -> Vec<(FeatureGroup, MetricS
         .iter()
         .map(|&group| {
             let ds = corpus.tls_dataset_group(QoeMetricKind::Combined, group);
-            let cv = cross_validate(&ds, 5, seed, move || {
-                Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-            });
-            (group, MetricScores::from_cv(&cv))
+            (group, forest_scores(&ds, seed))
         })
         .collect()
 }
@@ -119,10 +125,7 @@ pub fn table4_accuracy(corpus: &Corpus, seed: u64) -> (MetricScores, MetricScore
     let pkt_ds = corpus
         .packet_dataset(QoeMetricKind::Combined)
         .expect("table 4 requires a packet-capture corpus");
-    let pkt_cv = cross_validate(&pkt_ds, 5, seed, move || {
-        Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-    });
-    (tls, MetricScores::from_cv(&pkt_cv))
+    (tls, forest_scores(&pkt_ds, seed))
 }
 
 /// Table 4 (overhead half): mean per-session record counts and total
@@ -193,10 +196,7 @@ pub fn model_family_comparison(corpus: &Corpus, seed: u64) -> Vec<(&'static str,
     );
 
     let mut out: Vec<(&'static str, MetricScores)> = Vec::new();
-    let rf = cross_validate(&ds, 5, seed, move || {
-        Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-    });
-    out.push(("Random Forest", MetricScores::from_cv(&rf)));
+    out.push(("Random Forest", forest_scores(&ds, seed)));
 
     let gbdt = cross_validate(&ds, 5, seed, move || {
         Box::new(Gbdt::new(GbdtConfig { seed, ..Default::default() }))
@@ -249,10 +249,7 @@ pub fn interval_ablation(
         .map(|(_, n)| n.as_str())
         .collect();
     let ds = corpus.tls_dataset(QoeMetricKind::Combined).select_features(&keep);
-    let cv = cross_validate(&ds, 5, seed, move || {
-        Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-    });
-    MetricScores::from_cv(&cv)
+    forest_scores(&ds, seed)
 }
 
 /// Future-work extension (§5): accuracy from NetFlow-style flow records —
@@ -265,36 +262,29 @@ pub fn flow_granularity_comparison(
     seed: u64,
 ) -> Vec<(&'static str, MetricScores)> {
     use dtp_features::{extract_flow_features, extract_tls_features, flow_feature_names};
-    use dtp_simnet::TraceCorpus;
 
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0xf10f);
+    let simulated = simulate_corpus(service, &traces, false, session_seed(seed), |s| {
+        (
+            extract_tls_features(s.telemetry.tls.transactions()),
+            extract_flow_features(&s.telemetry.flows, None),
+            extract_flow_features(&s.telemetry.flows, Some(60.0)),
+            s.combined_qoe().index(),
+        )
+    });
     let mut tls_rows = Vec::with_capacity(sessions);
     let mut flow_rows = Vec::with_capacity(sessions);
     let mut flow60_rows = Vec::with_capacity(sessions);
     let mut labels = Vec::with_capacity(sessions);
-    for (i, e) in traces.entries().iter().enumerate() {
-        let cfg = crate::sim::SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: false,
-        };
-        let s = crate::sim::simulate_session(&cfg);
-        tls_rows.push(extract_tls_features(s.telemetry.tls.transactions()));
-        flow_rows.push(extract_flow_features(&s.telemetry.flows, None));
-        flow60_rows.push(extract_flow_features(&s.telemetry.flows, Some(60.0)));
-        let q = crate::label::quality_category(&s.ground_truth, &s.profile);
-        let r = crate::label::rebuffering_label(&s.ground_truth);
-        labels.push(crate::label::combined_label(q, r).index());
+    for (tls, flow, flow60, label) in simulated {
+        tls_rows.push(tls);
+        flow_rows.push(flow);
+        flow60_rows.push(flow60);
+        labels.push(label);
     }
 
     let run = |rows: Vec<Vec<f64>>, names: Vec<String>| {
-        let ds = Dataset::new(rows, labels.clone(), names, 3);
-        MetricScores::from_cv(&cross_validate(&ds, 5, seed, move || {
-            Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-        }))
+        forest_scores(&Dataset::new(rows, labels.clone(), names, 3), seed)
     };
     vec![
         ("TLS transactions (38 feats)", run(tls_rows, dtp_features::tls_feature_names())),
@@ -314,41 +304,33 @@ pub fn estimation_strategy_comparison(
     seed: u64,
 ) -> Vec<(&'static str, MetricScores)> {
     use dtp_features::{extract_packet_features, extract_tls_features};
-    use dtp_simnet::TraceCorpus;
 
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0xe414);
-    let mut tls_rows = Vec::with_capacity(sessions);
-    let mut pkt_rows = Vec::with_capacity(sessions);
-    let mut labels = Vec::with_capacity(sessions);
-    let mut emimic_cm = ConfusionMatrix::new(3);
-    for (i, e) in traces.entries().iter().enumerate() {
-        let cfg = crate::sim::SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: true,
-        };
-        let s = crate::sim::simulate_session(&cfg);
-        let q = crate::label::quality_category(&s.ground_truth, &s.profile);
-        let r = crate::label::rebuffering_label(&s.ground_truth);
-        let truth = crate::label::combined_label(q, r).index();
-        labels.push(truth);
-        tls_rows.push(extract_tls_features(s.telemetry.tls.transactions()));
-        pkt_rows.push(extract_packet_features(&s.telemetry.packets));
+    let simulated = simulate_corpus(service, &traces, true, session_seed(seed), |s| {
         let est = crate::emimic::estimate(
             &s.telemetry.http,
             &crate::emimic::EmimicConfig::for_profile(&s.profile),
         );
-        emimic_cm.record(truth, est.combined(&s.profile).index());
+        (
+            extract_tls_features(s.telemetry.tls.transactions()),
+            extract_packet_features(&s.telemetry.packets),
+            s.combined_qoe().index(),
+            est.combined(&s.profile).index(),
+        )
+    });
+    let mut tls_rows = Vec::with_capacity(sessions);
+    let mut pkt_rows = Vec::with_capacity(sessions);
+    let mut labels = Vec::with_capacity(sessions);
+    let mut emimic_cm = ConfusionMatrix::new(3);
+    for (tls, pkt, truth, emimic) in simulated {
+        tls_rows.push(tls);
+        pkt_rows.push(pkt);
+        labels.push(truth);
+        emimic_cm.record(truth, emimic);
     }
 
     let run = |rows: Vec<Vec<f64>>, names: Vec<String>| {
-        let ds = Dataset::new(rows, labels.clone(), names, 3);
-        MetricScores::from_cv(&cross_validate(&ds, 5, seed, move || {
-            Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-        }))
+        forest_scores(&Dataset::new(rows, labels.clone(), names, 3), seed)
     };
     vec![
         ("RF on TLS transactions", run(tls_rows, dtp_features::tls_feature_names())),
@@ -374,7 +356,6 @@ pub fn abr_ablation(
 ) -> Vec<(&'static str, [f64; 3], f64)> {
     use dtp_hasplayer::abr::AbrKind;
     use dtp_hasplayer::service::{ServiceId, ServiceProfile};
-    use dtp_simnet::TraceCorpus;
 
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0xabab);
     let variants: [(&'static str, AbrKind, f64); 4] = [
@@ -428,26 +409,14 @@ pub fn realtime_lag_curve(
     seed: u64,
 ) -> Vec<(f64, MetricScores)> {
     use dtp_features::extract_tls_features;
-    use dtp_simnet::TraceCorpus;
     use dtp_telemetry::TlsTransactionRecord;
 
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0x2ea1);
-    let mut per_session: Vec<(Vec<TlsTransactionRecord>, usize)> = Vec::with_capacity(sessions);
-    for (i, e) in traces.entries().iter().enumerate() {
-        let cfg = crate::sim::SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: false,
-        };
-        let s = crate::sim::simulate_session(&cfg);
-        let q = crate::label::quality_category(&s.ground_truth, &s.profile);
-        let r = crate::label::rebuffering_label(&s.ground_truth);
-        let label = crate::label::combined_label(q, r).index();
-        per_session.push((s.telemetry.tls.into_transactions(), label));
-    }
+    let per_session = simulate_corpus(service, &traces, false, session_seed(seed), |s| {
+        let label = s.combined_qoe().index();
+        (s.telemetry.tls.into_transactions(), label)
+    });
+    let labels: Vec<usize> = per_session.iter().map(|(_, l)| *l).collect();
 
     horizons_s
         .iter()
@@ -463,12 +432,8 @@ pub fn realtime_lag_curve(
                     extract_tls_features(&visible)
                 })
                 .collect();
-            let labels: Vec<usize> = per_session.iter().map(|(_, l)| *l).collect();
-            let ds = Dataset::new(rows, labels, dtp_features::tls_feature_names(), 3);
-            let cv = cross_validate(&ds, 5, seed, move || {
-                Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-            });
-            (h, MetricScores::from_cv(&cv))
+            let ds = Dataset::new(rows, labels.clone(), dtp_features::tls_feature_names(), 3);
+            (h, forest_scores(&ds, seed))
         })
         .collect()
 }
@@ -484,42 +449,37 @@ pub fn startup_and_mos_experiment(
 ) -> Vec<(&'static str, MetricScores, [f64; 3])> {
     use dtp_features::extract_tls_features;
     use dtp_hasplayer::MosModel;
-    use dtp_simnet::TraceCorpus;
 
     let traces = TraceCorpus::paper_mix(sessions, seed ^ 0x57a7);
-    let mut rows = Vec::with_capacity(sessions);
-    let mut startup_labels = Vec::with_capacity(sessions);
-    let mut mos_labels = Vec::with_capacity(sessions);
     let mos_model = MosModel::default();
-    for (i, e) in traces.entries().iter().enumerate() {
-        let cfg = crate::sim::SessionConfig {
-            service,
-            trace: e.trace.clone(),
-            kind: e.kind,
-            watch_duration_s: e.watch_duration_s,
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
-            capture_packets: false,
-        };
-        let s = crate::sim::simulate_session(&cfg);
-        rows.push(extract_tls_features(s.telemetry.tls.transactions()));
+    let simulated = simulate_corpus(service, &traces, false, session_seed(seed), |s| {
         // Startup classes: slow (>8 s, the problem class), ok (3-8 s), fast.
         let d = s.ground_truth.startup_delay_s;
-        startup_labels.push(if d > 8.0 || s.ground_truth.aborted {
+        let startup = if d > 8.0 || s.ground_truth.aborted {
             0
         } else if d > 3.0 {
             1
         } else {
             2
-        });
+        };
         // MOS buckets: poor (<2.5), fair (2.5-3.5), good (>3.5).
         let mos = mos_model.score(&s.ground_truth, &s.profile.ladder);
-        mos_labels.push(if mos < 2.5 {
+        let mos = if mos < 2.5 {
             0
         } else if mos < 3.5 {
             1
         } else {
             2
-        });
+        };
+        (extract_tls_features(s.telemetry.tls.transactions()), startup, mos)
+    });
+    let mut rows = Vec::with_capacity(sessions);
+    let mut startup_labels = Vec::with_capacity(sessions);
+    let mut mos_labels = Vec::with_capacity(sessions);
+    for (row, startup, mos) in simulated {
+        rows.push(row);
+        startup_labels.push(startup);
+        mos_labels.push(mos);
     }
 
     let run = |labels: Vec<usize>| {
@@ -528,10 +488,7 @@ pub fn startup_and_mos_experiment(
             shares[l] += 1.0 / labels.len() as f64;
         }
         let ds = Dataset::new(rows.clone(), labels, dtp_features::tls_feature_names(), 3);
-        let cv = cross_validate(&ds, 5, seed, move || {
-            Box::new(RandomForest::new(QoeEstimator::forest_config(seed)))
-        });
-        (MetricScores::from_cv(&cv), shares)
+        (forest_scores(&ds, seed), shares)
     };
     let (startup_scores, startup_shares) = run(startup_labels);
     let (mos_scores, mos_shares) = run(mos_labels);
@@ -641,6 +598,16 @@ mod tests {
         assert_eq!(total, c.len(), "unbounded band keeps everything");
         let none = fig7_matched_feature(&c, "CUM_DL_60s", (1e8, 1e9), (0.0, 1e9));
         assert!(none.iter().all(|g| g.is_empty()));
+    }
+
+    #[test]
+    fn simulating_experiment_scores_identically_at_1_and_4_threads() {
+        let run = |threads| {
+            dtp_par::with_threads(threads, || startup_and_mos_experiment(ServiceId::Svc1, 30, 4))
+        };
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // strings mean bitwise-equal scores and shares.
+        assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(4)));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! session if `N > N_min` and `δ > δ_min`. Paper parameters: `W = 3 s`,
 //! `N_min = 2`, `δ_min = 0.5`.
 
-use std::collections::HashSet;
+use std::borrow::Borrow;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use dtp_ml::ConfusionMatrix;
@@ -106,54 +107,27 @@ impl SessionSplitter {
 
     /// For each transaction, decide whether it starts a new session.
     ///
-    /// Input should be sorted by `start_s`; out-of-order streams (e.g. after
-    /// clock jitter upstream) are tolerated by detecting over a sorted view
-    /// and mapping the verdicts back to the caller's positions.
+    /// This is the [`IncrementalSessionDetector`] run to completion: every
+    /// record is pushed in start order, the detector is finished, and each
+    /// verdict is mapped back to its record's input position. Input already
+    /// nondecreasing in `start_s` is pushed as-is; anything else (e.g. clock
+    /// jitter upstream) is pushed in stable `total_cmp` start order.
     pub fn detect(&self, transactions: &[TlsTransactionRecord]) -> Vec<bool> {
         let _span = dtp_obs::span!("split.detect");
         dtp_obs::global().counter("split.transactions").add(transactions.len() as u64);
-        let sorted = transactions
-            .windows(2)
-            .all(|w| w[0].start_s <= w[1].start_s + 1e-9);
-        if sorted {
-            return self.detect_sorted(transactions);
-        }
         let mut order: Vec<usize> = (0..transactions.len()).collect();
-        order.sort_by(|&a, &b| transactions[a].start_s.total_cmp(&transactions[b].start_s));
-        let view: Vec<TlsTransactionRecord> =
-            order.iter().map(|&i| transactions[i].clone()).collect();
-        let flags = self.detect_sorted(&view);
-        let mut out = vec![false; transactions.len()];
-        for (pos, &orig) in order.iter().enumerate() {
-            out[orig] = flags[pos];
+        if !transactions.windows(2).all(|w| w[0].start_s <= w[1].start_s) {
+            order.sort_by(|&a, &b| transactions[a].start_s.total_cmp(&transactions[b].start_s));
         }
-        out
-    }
-
-    /// Detection over a stream already sorted by start time.
-    fn detect_sorted(&self, transactions: &[TlsTransactionRecord]) -> Vec<bool> {
+        let mut detector = IncrementalSessionDetector::new(self.params);
+        let mut decided = Vec::with_capacity(transactions.len());
+        for i in order {
+            detector.push(AtPosition(i, &transactions[i]), &mut decided);
+        }
+        decided.extend(detector.finish());
         let mut out = vec![false; transactions.len()];
-        let mut seen: HashSet<Arc<str>> = HashSet::new();
-        for i in 0..transactions.len() {
-            let t_i = transactions[i].start_s;
-            // The burst: transactions starting within W of this one.
-            let mut n = 0usize;
-            let mut unseen = 0usize;
-            for t in &transactions[i..] {
-                if t.start_s > t_i + self.params.window_s {
-                    break;
-                }
-                n += 1;
-                if !seen.contains(&t.sni) {
-                    unseen += 1;
-                }
-            }
-            let delta = if n > 0 { unseen as f64 / n as f64 } else { 0.0 };
-            if n > self.params.n_min && delta > self.params.delta_min {
-                out[i] = true;
-                seen.clear();
-            }
-            seen.insert(Arc::clone(&transactions[i].sni));
+        for (AtPosition(i, _), is_new) in decided {
+            out[i] = is_new;
         }
         out
     }
@@ -174,41 +148,51 @@ impl SessionSplitter {
     }
 }
 
-/// The streaming form of the boundary heuristic: transactions are pushed
-/// one at a time (nondecreasing `start_s`) and each is decided as soon as
-/// its look-ahead window `[t_i, t_i + W]` is provably complete — i.e. once
-/// some later transaction starts after `t_i + W`, or the stream is
-/// [`finish`](IncrementalSessionDetector::finish)ed.
+/// A record borrowed from the caller's slice, tagged with its position so
+/// [`SessionSplitter::detect`] can map verdicts back without cloning.
+#[derive(Debug)]
+struct AtPosition<'a>(usize, &'a TlsTransactionRecord);
+
+impl Borrow<TlsTransactionRecord> for AtPosition<'_> {
+    fn borrow(&self) -> &TlsTransactionRecord {
+        self.1
+    }
+}
+
+/// The paper's boundary heuristic, and its only implementation:
+/// transactions are pushed one at a time (nondecreasing `start_s`) and each
+/// is decided as soon as its look-ahead window `[t_i, t_i + W]` is provably
+/// complete — i.e. once some later transaction starts after `t_i + W`, or
+/// the stream is [`finish`](IncrementalSessionDetector::finish)ed.
 ///
-/// The decisions are **identical** to
-/// [`SessionSplitter::detect`] over the same sorted stream: both evaluate
-/// the same burst (`N`) and new-server fraction (`δ`) against the same
-/// running seen-server set, the incremental form just does it with a
-/// bounded buffer instead of a full slice. `tests` pin this equivalence and
-/// `tests/stream_vs_batch.rs` re-proves it end-to-end through the
-/// streaming engine.
+/// Each decision counts the burst (`N`) and the new-server fraction (`δ`)
+/// against the running seen-server set of the current session. The
+/// streaming engine runs it online; [`SessionSplitter::detect`] runs it to
+/// completion over a slice.
+///
+/// Records are held as `R`: owned records by default (`dtp-stream`), or
+/// anything that borrows one, so the batch splitter need not clone.
 ///
 /// Small disorder among *not-yet-decided* transactions is tolerated (they
-/// are kept sorted by `start_s`, ties in arrival order, matching the batch
-/// splitter's stable sort); a transaction starting before an
-/// already-decided one cannot be re-decided — callers bound disorder with a
-/// reorder buffer (see `dtp-stream`).
+/// are kept sorted by `start_s`, ties in arrival order); a transaction
+/// starting before an already-decided one cannot be re-decided — callers
+/// bound disorder with a reorder buffer (see `dtp-stream`) or a sort.
 #[derive(Debug, Clone)]
-pub struct IncrementalSessionDetector {
+pub struct IncrementalSessionDetector<R = TlsTransactionRecord> {
     params: SessionIdParams,
-    pending: std::collections::VecDeque<TlsTransactionRecord>,
+    pending: VecDeque<R>,
     seen: HashSet<Arc<str>>,
     max_start_seen: f64,
 }
 
-impl IncrementalSessionDetector {
+impl<R: Borrow<TlsTransactionRecord>> IncrementalSessionDetector<R> {
     /// Detector with custom parameters, repaired exactly like
     /// [`SessionSplitter::new`].
     pub fn new(params: SessionIdParams) -> Self {
         let params = *SessionSplitter::new(params).params();
         Self {
             params,
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             seen: HashSet::new(),
             max_start_seen: f64::NEG_INFINITY,
         }
@@ -226,22 +210,18 @@ impl IncrementalSessionDetector {
 
     /// Offer the next transaction; appends every now-decidable transaction
     /// to `out` as `(transaction, starts_new_session)`, in start order.
-    pub fn push(
-        &mut self,
-        rec: TlsTransactionRecord,
-        out: &mut Vec<(TlsTransactionRecord, bool)>,
-    ) {
-        self.max_start_seen = self.max_start_seen.max(rec.start_s);
-        // Sorted insert from the back: ties keep arrival order, matching
-        // the batch splitter's stable sort.
+    pub fn push(&mut self, rec: R, out: &mut Vec<(R, bool)>) {
+        let start_s = rec.borrow().start_s;
+        self.max_start_seen = self.max_start_seen.max(start_s);
+        // Sorted insert from the back: ties keep arrival order.
         let pos = self
             .pending
             .iter()
-            .rposition(|p| p.start_s <= rec.start_s)
+            .rposition(|p| p.borrow().start_s <= start_s)
             .map_or(0, |i| i + 1);
         self.pending.insert(pos, rec);
         while let Some(front) = self.pending.front() {
-            if self.max_start_seen <= front.start_s + self.params.window_s {
+            if self.max_start_seen <= front.borrow().start_s + self.params.window_s {
                 break;
             }
             out.push(self.decide_front());
@@ -249,7 +229,7 @@ impl IncrementalSessionDetector {
     }
 
     /// End of stream: decide everything still pending, in order.
-    pub fn finish(&mut self) -> Vec<(TlsTransactionRecord, bool)> {
+    pub fn finish(&mut self) -> Vec<(R, bool)> {
         let mut out = Vec::with_capacity(self.pending.len());
         while !self.pending.is_empty() {
             out.push(self.decide_front());
@@ -259,13 +239,15 @@ impl IncrementalSessionDetector {
         out
     }
 
-    /// Decide the front pending transaction — the batch inner loop, scoped
-    /// to the buffered window.
-    fn decide_front(&mut self) -> (TlsTransactionRecord, bool) {
-        let t_i = self.pending.front().expect("pending non-empty").start_s;
+    /// Decide the front pending transaction: a boundary when more than
+    /// `N_min` transactions start within `W` of it and more than `δ_min` of
+    /// them are on servers unseen in the current session.
+    fn decide_front(&mut self) -> (R, bool) {
+        let t_i = self.pending.front().expect("pending non-empty").borrow().start_s;
         let mut n = 0usize;
         let mut unseen = 0usize;
         for t in &self.pending {
+            let t = t.borrow();
             if t.start_s > t_i + self.params.window_s {
                 break;
             }
@@ -280,12 +262,12 @@ impl IncrementalSessionDetector {
             self.seen.clear();
         }
         let f = self.pending.pop_front().expect("pending non-empty");
-        self.seen.insert(Arc::clone(&f.sni));
+        self.seen.insert(Arc::clone(&f.borrow().sni));
         (f, is_new)
     }
 }
 
-impl Default for IncrementalSessionDetector {
+impl<R: Borrow<TlsTransactionRecord>> Default for IncrementalSessionDetector<R> {
     fn default() -> Self {
         Self::new(SessionIdParams::default())
     }
@@ -324,11 +306,9 @@ pub fn stitch_sessions(service: ServiceId, n_sessions: usize, seed: u64) -> Back
         let session = simulate_session(&cfg);
         let mut txs = session.telemetry.tls.into_transactions();
         txs.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-        let earliest = txs.first().map(|t| t.start_s).unwrap_or(0.0);
         for (j, mut t) in txs.into_iter().enumerate() {
             t.start_s += offset;
             t.end_s += offset;
-            let _ = earliest;
             tagged.push((t, j == 0));
         }
         // The next session begins right after this one's player closed
@@ -446,6 +426,49 @@ mod tests {
         ];
         let det = SessionSplitter::default().detect(&shuffled);
         assert_eq!(det, vec![false, false, true, false, false, false], "{det:?}");
+    }
+
+    /// `detect` on `stream` must give each position the verdict its record
+    /// gets in a run over the stable start-sorted stream.
+    fn assert_verdicts_follow_sorted_run(stream: &[TlsTransactionRecord]) -> Vec<bool> {
+        let mut order: Vec<usize> = (0..stream.len()).collect();
+        order.sort_by(|&a, &b| stream[a].start_s.total_cmp(&stream[b].start_s));
+        let sorted: Vec<TlsTransactionRecord> = order.iter().map(|&i| stream[i].clone()).collect();
+        let sorted_verdicts = SessionSplitter::default().detect(&sorted);
+        let mut want = vec![false; stream.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            want[i] = sorted_verdicts[pos];
+        }
+        let got = SessionSplitter::default().detect(stream);
+        assert_eq!(got, want);
+        got
+    }
+
+    #[test]
+    fn tiny_start_inversion_is_sorted_exactly() {
+        // `d` starts 1e-10 s before `c` but arrives after it, so `d` opens
+        // the three-record burst and must carry the boundary verdict; `c`
+        // then sees a burst of two, which does not exceed N_min.
+        let stream = vec![
+            tx(0.0, "a"),
+            tx(0.5, "b"),
+            tx(50.0, "a"),
+            tx(100.0, "c"),
+            tx(100.0 - 1e-10, "d"),
+            tx(100.8, "e"),
+        ];
+        let det = assert_verdicts_follow_sorted_run(&stream);
+        assert_eq!(det, vec![false, false, false, false, true, false]);
+    }
+
+    #[test]
+    fn shuffled_stitched_stream_maps_verdicts_to_positions() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut stream = stitch_sessions(ServiceId::Svc1, 10, 5).transactions;
+        stream.shuffle(&mut rand::rngs::StdRng::seed_from_u64(9));
+        let det = assert_verdicts_follow_sorted_run(&stream);
+        assert!(det.iter().filter(|&&b| b).count() > 1, "boundaries found");
     }
 
     #[test]

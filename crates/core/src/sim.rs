@@ -11,11 +11,13 @@ use dtp_hasplayer::player::{Player, PlayerConfig};
 use dtp_hasplayer::qoe::GroundTruth;
 use dtp_hasplayer::service::{ServiceId, ServiceProfile};
 use dtp_hasplayer::video::VideoCatalog;
-use dtp_simnet::{BandwidthTrace, Link, LinkConfig, TraceKind};
+use dtp_simnet::{BandwidthTrace, Link, LinkConfig, TraceCorpus, TraceKind};
 use dtp_telemetry::SessionTelemetry;
 use dtp_transport::cdn::{CdnModel, HostClass};
 use dtp_transport::policy::TlsPolicy;
 use dtp_transport::stack::NetworkStack;
+
+use crate::label::{combined_label, quality_category, rebuffering_label, QoeCategory};
 
 /// Everything needed to simulate one session.
 #[derive(Debug, Clone)]
@@ -49,6 +51,17 @@ pub struct SimulatedSession {
     pub watch_duration_s: f64,
     /// Time-average available bandwidth of the trace, kbps.
     pub avg_bandwidth_kbps: f64,
+}
+
+impl SimulatedSession {
+    /// Ground-truth combined QoE: the worse of the video-quality and
+    /// re-buffering categories (the paper's headline label).
+    pub fn combined_qoe(&self) -> QoeCategory {
+        combined_label(
+            quality_category(&self.ground_truth, &self.profile),
+            rebuffering_label(&self.ground_truth),
+        )
+    }
 }
 
 /// TLS policy matching a service's client behaviour.
@@ -131,6 +144,38 @@ pub fn codec_factor(seed: u64) -> f64 {
 /// Simulate one full session with the service's stock profile.
 pub fn simulate_session(cfg: &SessionConfig) -> SimulatedSession {
     simulate_session_with_profile(cfg, ServiceProfile::of(cfg.service))
+}
+
+/// Simulate every session of a trace corpus for `service` on `dtp-par`
+/// workers (`DTP_THREADS`), handing each one to `f` on the worker that
+/// simulated it.
+///
+/// Entry `i` runs with session seed `seed_of(i)` and the given packet
+/// capture flag. Result `i` is `f` of entry `i`'s session, in index order,
+/// so the output matches a serial loop at any thread count.
+pub fn simulate_corpus<T: Send>(
+    service: ServiceId,
+    traces: &TraceCorpus,
+    capture_packets: bool,
+    seed_of: impl Fn(u64) -> u64 + Sync,
+    f: impl Fn(SimulatedSession) -> T + Sync,
+) -> Vec<T> {
+    dtp_par::par_map("simulate.corpus", traces.entries(), |i, e| {
+        f(simulate_session(&SessionConfig {
+            service,
+            trace: e.trace.clone(),
+            kind: e.kind,
+            watch_duration_s: e.watch_duration_s,
+            seed: seed_of(i as u64),
+            capture_packets,
+        }))
+    })
+}
+
+/// The common per-index seed rule for [`simulate_corpus`]: entry `i` of a
+/// run seeded `seed` streams with `seed * 0x9e3779b9 + i` (wrapping).
+pub fn session_seed(seed: u64) -> impl Fn(u64) -> u64 + Sync {
+    move |i| seed.wrapping_mul(0x9e37_79b9).wrapping_add(i)
 }
 
 /// Simulate a session with a *custom* player profile (ABR/buffer ablations);

@@ -1,32 +1,29 @@
-//! Streaming feature accumulators — the incremental form of [`crate::tls`].
+//! Streaming feature accumulators — the one implementation of Table 1.
 //!
-//! The batch extractor ([`crate::extract_tls_features_checked`]) consumes a
-//! complete session slice; a proxy scoring sessions *online* sees one
-//! transaction at a time and cannot afford to re-extract 38 features per
-//! arrival. This module provides push-based accumulators that maintain the
-//! same statistics in O(1) per record:
+//! A proxy scoring sessions *online* sees one transaction at a time and
+//! cannot afford to re-extract 38 features per arrival. This module holds
+//! push-based accumulators that maintain the statistics in O(1) per record
+//! (plus the raw values each median needs):
 //!
 //! * [`SeriesStats`] — one per-transaction metric series: running min/max
-//!   plus the raw values, whose median is taken on read by the batch
-//!   kernel [`crate::stats::median`],
+//!   plus the raw values, whose median is taken on read by
+//!   [`crate::stats::median`],
 //! * [`TlsSessionAccumulator`] — the full Table 1 feature vector,
 //!   maintained incrementally.
 //!
 //! ## Exactness guarantees
 //!
-//! [`TlsSessionAccumulator::features`] is **bitwise identical** to
-//! [`crate::extract_tls_features_checked`] over the same records, provided
-//! records are pushed in nondecreasing `start_s` order (the order the
-//! batch path consumes after its stable sort): every sum is accumulated in
-//! the same sequence, min/max fold over the same values, the median is the
-//! same `stats::median` call over the same multiset, and the temporal
-//! overlap attribution uses the same `t0`. The equivalence is pinned by
-//! unit tests here and end-to-end by `tests/stream_vs_batch.rs` at the
-//! workspace root.
+//! The batch extractor ([`crate::extract_tls_features_checked`]) is this
+//! accumulator run to completion: it pushes a session's records in start
+//! order and returns [`TlsSessionAccumulator::features`]. The streaming
+//! engine (`dtp-stream`) pushes the same records in the same order, because
+//! its reorder buffer releases them sorted by `start_s`, so batch and
+//! stream agree bit for bit by construction. `tests/stream_vs_batch.rs` and
+//! the golden fixtures at the workspace root stay as regression guards.
 
 use dtp_telemetry::TlsTransactionRecord;
 
-use crate::{stats, FeatureQuality};
+use crate::{stats, FeatureQuality, TEMPORAL_INTERVALS_S};
 
 /// One per-transaction metric series (DL size, duration, …): running
 /// min/max and the observed values, so the median is computed on read by
@@ -90,13 +87,10 @@ impl Default for SeriesStats {
 /// Incremental Table 1 feature extraction: push TLS transactions in
 /// nondecreasing `start_s` order, read the full feature vector at any time.
 ///
-/// [`TlsSessionAccumulator::features`] is bitwise-equal to
-/// [`crate::extract_tls_features_checked`] over the same (sorted) records —
-/// see the module docs for why, and DESIGN.md §11 for the per-feature
-/// guarantee table.
+/// [`crate::extract_tls_features_checked`] is this accumulator folded over
+/// a session in start order — see the module docs and DESIGN.md §11.
 #[derive(Debug, Clone)]
 pub struct TlsSessionAccumulator {
-    intervals: Vec<f64>,
     count: usize,
     t0: f64,
     t_end: f64,
@@ -109,22 +103,16 @@ pub struct TlsSessionAccumulator {
     d2u: SeriesStats,
     iat: SeriesStats,
     last_start: f64,
-    cum_dl: Vec<f64>,
-    cum_ul: Vec<f64>,
+    cum_dl: [f64; TEMPORAL_INTERVALS_S.len()],
+    cum_ul: [f64; TEMPORAL_INTERVALS_S.len()],
     suspect_records: usize,
 }
 
 impl TlsSessionAccumulator {
-    /// Accumulator for the paper's interval set
-    /// ([`crate::TEMPORAL_INTERVALS_S`]), yielding the standard 38-vector.
+    /// Empty accumulator over the paper's interval set
+    /// ([`TEMPORAL_INTERVALS_S`]), yielding the 38-vector.
     pub fn new() -> Self {
-        Self::with_intervals(&crate::TEMPORAL_INTERVALS_S)
-    }
-
-    /// Accumulator with custom temporal intervals (§3 hyperparameter).
-    pub fn with_intervals(intervals_s: &[f64]) -> Self {
         Self {
-            intervals: intervals_s.to_vec(),
             count: 0,
             t0: f64::INFINITY,
             t_end: f64::NEG_INFINITY,
@@ -137,8 +125,8 @@ impl TlsSessionAccumulator {
             d2u: SeriesStats::new(),
             iat: SeriesStats::new(),
             last_start: f64::NAN,
-            cum_dl: vec![0.0; intervals_s.len()],
-            cum_ul: vec![0.0; intervals_s.len()],
+            cum_dl: [0.0; TEMPORAL_INTERVALS_S.len()],
+            cum_ul: [0.0; TEMPORAL_INTERVALS_S.len()],
             suspect_records: 0,
         }
     }
@@ -156,7 +144,7 @@ impl TlsSessionAccumulator {
     /// Length of the feature vector [`TlsSessionAccumulator::features`]
     /// returns.
     pub fn feature_len(&self) -> usize {
-        22 + 2 * self.intervals.len()
+        22 + 2 * TEMPORAL_INTERVALS_S.len()
     }
 
     /// Session start (first transaction's `start_s`); `None` when empty.
@@ -178,11 +166,16 @@ impl TlsSessionAccumulator {
     }
 
     /// Accumulate one transaction. Records must arrive in nondecreasing
-    /// `start_s` order for the bitwise batch-equality guarantee; the
-    /// caller's reorder buffer (see `dtp-stream`) establishes that.
+    /// `start_s` order: the temporal features measure from the first
+    /// record's start, and IAT is the gap to the previous one. The caller's
+    /// reorder buffer (see `dtp-stream`) or sort (the batch extractor)
+    /// establishes that.
     pub fn push(&mut self, t: &TlsTransactionRecord) {
         debug_assert!(
-            self.count == 0 || t.start_s >= self.last_start || t.start_s.is_nan(),
+            self.count == 0
+                || t.start_s >= self.last_start
+                || t.start_s.is_nan()
+                || self.last_start.is_nan(),
             "records must be pushed in nondecreasing start order"
         );
         if !t.validity().is_clean() {
@@ -192,8 +185,7 @@ impl TlsSessionAccumulator {
             self.t0 = t.start_s;
         } else {
             self.t0 = f64::min(self.t0, t.start_s);
-            // IAT between consecutive starts, same subtraction as the
-            // batch path's sorted `windows(2)`.
+            // IAT between consecutive starts.
             self.iat.push(t.start_s - self.last_start);
         }
         self.last_start = t.start_s;
@@ -205,16 +197,17 @@ impl TlsSessionAccumulator {
         self.dur.push(t.duration_s());
         self.tdr.push(t.tdr_kbps());
         self.d2u.push(t.d2u_ratio());
-        for (k, &iv) in self.intervals.iter().enumerate() {
+        for (k, &iv) in TEMPORAL_INTERVALS_S.iter().enumerate() {
             self.cum_dl[k] += Self::overlap_share(t, self.t0, iv, t.down_bytes);
             self.cum_ul[k] += Self::overlap_share(t, self.t0, iv, t.up_bytes);
         }
         self.count += 1;
     }
 
-    /// One transaction's contribution to a `[t0, t0 + interval]` window —
-    /// the same arithmetic as the batch `cumulative_bytes`, applied per
-    /// record.
+    /// One transaction's contribution to a `[t0, t0 + interval]` window:
+    /// its bytes, scaled by the share of its duration inside the window
+    /// (§3: "we get its share of downlink and uplink data based on the
+    /// extent of the overlap").
     fn overlap_share(t: &TlsTransactionRecord, t0: f64, interval_s: f64, b: f64) -> f64 {
         let window_end = t0 + interval_s;
         if b <= 0.0 {
@@ -231,10 +224,9 @@ impl TlsSessionAccumulator {
 
     /// The feature vector and quality report for everything accumulated so
     /// far — callable mid-session for a live estimate, or at close for the
-    /// final vector. Bitwise-equal to
-    /// [`crate::extract_tls_features_checked`] over the same records (in
-    /// sorted order); an empty accumulator yields all zeros with
-    /// `empty_input` set, like the batch path.
+    /// final vector. Non-finite values are imputed to 0.0 and counted in
+    /// [`FeatureQuality::imputed`]; an empty accumulator yields all zeros
+    /// with `empty_input` set.
     pub fn features(&self) -> (Vec<f64>, FeatureQuality) {
         let mut out = Vec::with_capacity(self.feature_len());
         if self.count == 0 {
@@ -245,15 +237,20 @@ impl TlsSessionAccumulator {
             );
         }
         let ses_dur = (self.t_end - self.t0).max(1e-9);
+        // --- Session level ---
         out.push(self.total_dl * 8.0 / 1000.0 / ses_dur); // SDR_DL (kbps)
         out.push(self.total_ul * 8.0 / 1000.0 / ses_dur); // SDR_UL (kbps)
         out.push(ses_dur); // SES_DUR (s)
         out.push(self.count as f64 / ses_dur); // TRANS_PER_SEC
+
+        // --- Transaction statistics ---
         for series in [&self.dl, &self.ul, &self.dur, &self.tdr, &self.d2u, &self.iat] {
             out.push(series.min());
             out.push(series.median());
             out.push(series.max());
         }
+
+        // --- Temporal statistics ---
         out.extend_from_slice(&self.cum_dl);
         out.extend_from_slice(&self.cum_ul);
         let mut quality = FeatureQuality {
@@ -280,7 +277,7 @@ impl Default for TlsSessionAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extract_tls_features_checked, extract_tls_features_checked_with_intervals};
+    use crate::extract_tls_features_checked;
     use std::sync::Arc;
 
     fn tx(start: f64, end: f64, up: f64, down: f64) -> TlsTransactionRecord {
@@ -322,20 +319,6 @@ mod tests {
             assert_eq!(sq, bq);
             assert_eq!(acc.feature_len(), 38);
         }
-    }
-
-    #[test]
-    fn accumulator_with_custom_intervals_matches_batch() {
-        let iv = [15.0, 60.0, 600.0];
-        let txs = vec![tx(0.0, 120.0, 1_200.0, 120_000.0), tx(30.0, 90.0, 600.0, 60_000.0)];
-        let (batch, _) = extract_tls_features_checked_with_intervals(&txs, &iv);
-        let mut acc = TlsSessionAccumulator::with_intervals(&iv);
-        for t in &txs {
-            acc.push(t);
-        }
-        let (streamed, _) = acc.features();
-        assert_eq!(bits(&streamed), bits(&batch));
-        assert_eq!(acc.feature_len(), 28);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! assembled into [`dtp-ml`](../dtp_ml/index.html) datasets; the bench crate
 //! times these functions for the paper's 60× compute-overhead claim.
 //!
-//! For online use, [`accum`] provides push-based accumulators
-//! ([`TlsSessionAccumulator`], [`SeriesStats`]) that maintain the TLS
-//! feature vector incrementally — bitwise-equal to the batch extractor
-//! over sorted input (see the module docs for the exactness guarantees).
+//! The TLS features have one implementation, the push-based
+//! [`TlsSessionAccumulator`] in [`accum`]. The streaming engine feeds it
+//! one record at a time; the batch extractors in [`tls`] fold a whole
+//! session into it in start order. Batch and stream are therefore equal
+//! by construction (see the [`accum`] module docs).
 
 pub mod accum;
 pub mod flow;
@@ -31,8 +32,6 @@ pub use accum::{SeriesStats, TlsSessionAccumulator};
 pub use flow::{extract_flow_features, flow_feature_names};
 pub use packet::{extract_packet_features, extract_packet_features_batch, packet_feature_names};
 pub use tls::{
-    extract_tls_features, extract_tls_features_batch, extract_tls_features_batch_checked,
-    extract_tls_features_checked, extract_tls_features_checked_with_intervals,
-    extract_tls_features_with_intervals, tls_feature_names, tls_feature_names_with_intervals,
-    FeatureGroup, FeatureQuality, TEMPORAL_INTERVALS_S,
+    extract_tls_features, extract_tls_features_batch, extract_tls_features_checked,
+    tls_feature_names, FeatureGroup, FeatureQuality, TEMPORAL_INTERVALS_S,
 };

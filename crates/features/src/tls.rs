@@ -9,10 +9,15 @@
 //! Interval endpoints: {30, 60, 120, 240, 480, 720, 960, 1200} seconds, each
 //! measured from session start, with proportional attribution for
 //! transactions partially overlapping an interval (§3). 4 + 18 + 16 = 38.
+//!
+//! The features themselves are computed in one place,
+//! [`TlsSessionAccumulator`](crate::TlsSessionAccumulator); the extractors
+//! here fold a session's records into it in start order and read the
+//! result, so the batch pipeline is the streaming one run to completion.
 
 use dtp_telemetry::TlsTransactionRecord;
 
-use crate::stats;
+use crate::TlsSessionAccumulator;
 
 /// The paper's temporal interval endpoints, in seconds (§3).
 pub const TEMPORAL_INTERVALS_S: [f64; 8] = [30.0, 60.0, 120.0, 240.0, 480.0, 720.0, 960.0, 1200.0];
@@ -42,7 +47,7 @@ impl FeatureGroup {
         }
     }
 
-    /// Number of features in the group (with the default intervals).
+    /// Number of features in the group.
     pub fn len(&self) -> usize {
         match self {
             FeatureGroup::SessionLevel => 4,
@@ -64,11 +69,6 @@ impl FeatureGroup {
 
 /// Column names for the full 38-feature vector, in extraction order.
 pub fn tls_feature_names() -> Vec<String> {
-    tls_feature_names_with_intervals(&TEMPORAL_INTERVALS_S)
-}
-
-/// Column names with custom temporal intervals (hyperparameter ablation).
-pub fn tls_feature_names_with_intervals(intervals_s: &[f64]) -> Vec<String> {
     let mut names = vec![
         "SDR_DL".to_string(),
         "SDR_UL".to_string(),
@@ -80,11 +80,10 @@ pub fn tls_feature_names_with_intervals(intervals_s: &[f64]) -> Vec<String> {
             names.push(format!("{metric}_{stat}"));
         }
     }
-    for &iv in intervals_s {
-        names.push(format!("CUM_DL_{}s", iv as u64));
-    }
-    for &iv in intervals_s {
-        names.push(format!("CUM_UL_{}s", iv as u64));
+    for dir in ["DL", "UL"] {
+        for iv in TEMPORAL_INTERVALS_S {
+            names.push(format!("CUM_{dir}_{}s", iv as u64));
+        }
     }
     names
 }
@@ -120,25 +119,31 @@ impl FeatureQuality {
 /// intermediate values are imputed to 0.0 (use
 /// [`extract_tls_features_checked`] to observe when that happens).
 pub fn extract_tls_features(transactions: &[TlsTransactionRecord]) -> Vec<f64> {
-    extract_tls_features_with_intervals(transactions, &TEMPORAL_INTERVALS_S)
+    extract_tls_features_checked(transactions).0
 }
 
 /// Checked extraction: the feature vector plus a [`FeatureQuality`] report
 /// saying how much imputation the input required.
+///
+/// This is the streaming [`TlsSessionAccumulator`] run to completion: the
+/// records are folded in start order (a slice already nondecreasing in
+/// `start_s` as-is, anything else through a stable `total_cmp` sort) and
+/// the accumulator's [`features`](TlsSessionAccumulator::features) are
+/// returned, so batch and stream cannot disagree.
 pub fn extract_tls_features_checked(
     transactions: &[TlsTransactionRecord],
 ) -> (Vec<f64>, FeatureQuality) {
-    extract_tls_features_checked_with_intervals(transactions, &TEMPORAL_INTERVALS_S)
-}
-
-/// Extraction with custom temporal intervals (§3 treats the interval set as
-/// a model hyperparameter an ISP can tune). Always finite, like
-/// [`extract_tls_features`].
-pub fn extract_tls_features_with_intervals(
-    transactions: &[TlsTransactionRecord],
-    intervals_s: &[f64],
-) -> Vec<f64> {
-    extract_tls_features_checked_with_intervals(transactions, intervals_s).0
+    let _span = dtp_obs::span!("extract.tls");
+    dtp_obs::global().counter("extract.tls_records").add(transactions.len() as u64);
+    let mut acc = TlsSessionAccumulator::new();
+    if transactions.windows(2).all(|w| w[0].start_s <= w[1].start_s) {
+        transactions.iter().for_each(|t| acc.push(t));
+    } else {
+        let mut sorted: Vec<&TlsTransactionRecord> = transactions.iter().collect();
+        sorted.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        sorted.into_iter().for_each(|t| acc.push(t));
+    }
+    acc.features()
 }
 
 /// Extract the 38-feature vector for every session in a corpus, fanned out
@@ -146,113 +151,6 @@ pub fn extract_tls_features_with_intervals(
 /// of `sessions[i]`, at any thread count.
 pub fn extract_tls_features_batch(sessions: &[Vec<TlsTransactionRecord>]) -> Vec<Vec<f64>> {
     dtp_par::par_map("extract.tls_sessions", sessions, |_, txs| extract_tls_features(txs))
-}
-
-/// Batch variant of [`extract_tls_features_checked`]: features plus the
-/// per-session [`FeatureQuality`] report, in input order.
-pub fn extract_tls_features_batch_checked(
-    sessions: &[Vec<TlsTransactionRecord>],
-) -> Vec<(Vec<f64>, FeatureQuality)> {
-    dtp_par::par_map("extract.tls_sessions", sessions, |_, txs| {
-        extract_tls_features_checked(txs)
-    })
-}
-
-/// Checked extraction with custom intervals.
-pub fn extract_tls_features_checked_with_intervals(
-    transactions: &[TlsTransactionRecord],
-    intervals_s: &[f64],
-) -> (Vec<f64>, FeatureQuality) {
-    let _span = dtp_obs::span!("extract.tls");
-    dtp_obs::global().counter("extract.tls_records").add(transactions.len() as u64);
-    let mut out = raw_features(transactions, intervals_s);
-    let mut quality = FeatureQuality {
-        empty_input: transactions.is_empty(),
-        imputed: 0,
-        suspect_records: transactions.iter().filter(|t| !t.validity().is_clean()).count(),
-    };
-    for v in &mut out {
-        if !v.is_finite() {
-            *v = 0.0;
-            quality.imputed += 1;
-        }
-    }
-    (out, quality)
-}
-
-fn raw_features(transactions: &[TlsTransactionRecord], intervals_s: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(22 + 2 * intervals_s.len());
-    if transactions.is_empty() {
-        out.resize(22 + 2 * intervals_s.len(), 0.0);
-        return out;
-    }
-
-    let t0 = transactions.iter().map(|t| t.start_s).fold(f64::INFINITY, f64::min);
-    let t_end = transactions.iter().map(|t| t.end_s).fold(f64::NEG_INFINITY, f64::max);
-    let ses_dur = (t_end - t0).max(1e-9);
-    let total_dl: f64 = transactions.iter().map(|t| t.down_bytes).sum();
-    let total_ul: f64 = transactions.iter().map(|t| t.up_bytes).sum();
-
-    // --- Session level ---
-    out.push(total_dl * 8.0 / 1000.0 / ses_dur); // SDR_DL (kbps)
-    out.push(total_ul * 8.0 / 1000.0 / ses_dur); // SDR_UL (kbps)
-    out.push(ses_dur); // SES_DUR (s)
-    out.push(transactions.len() as f64 / ses_dur); // TRANS_PER_SEC
-
-    // --- Transaction statistics ---
-    let mut starts: Vec<f64> = transactions.iter().map(|t| t.start_s).collect();
-    starts.sort_by(f64::total_cmp);
-    let iat: Vec<f64> = starts.windows(2).map(|w| w[1] - w[0]).collect();
-
-    let dl: Vec<f64> = transactions.iter().map(|t| t.down_bytes).collect();
-    let ul: Vec<f64> = transactions.iter().map(|t| t.up_bytes).collect();
-    let dur: Vec<f64> = transactions.iter().map(|t| t.duration_s()).collect();
-    let tdr: Vec<f64> = transactions.iter().map(|t| t.tdr_kbps()).collect();
-    let d2u: Vec<f64> = transactions.iter().map(|t| t.d2u_ratio()).collect();
-
-    for series in [&dl, &ul, &dur, &tdr, &d2u, &iat] {
-        out.push(stats::min(series));
-        out.push(stats::median(series));
-        out.push(stats::max(series));
-    }
-
-    // --- Temporal statistics ---
-    // Cumulative bytes in [t0, t0 + XX], attributing each transaction's
-    // bytes proportionally to its overlap with the interval (§3: "we get its
-    // share of downlink and uplink data based on the extent of the overlap").
-    for &iv in intervals_s {
-        out.push(cumulative_bytes(transactions, t0, iv, |t| t.down_bytes));
-    }
-    for &iv in intervals_s {
-        out.push(cumulative_bytes(transactions, t0, iv, |t| t.up_bytes));
-    }
-    debug_assert_eq!(out.len(), 22 + 2 * intervals_s.len());
-    out
-}
-
-fn cumulative_bytes(
-    transactions: &[TlsTransactionRecord],
-    t0: f64,
-    interval_s: f64,
-    bytes: impl Fn(&TlsTransactionRecord) -> f64,
-) -> f64 {
-    let window_end = t0 + interval_s;
-    transactions
-        .iter()
-        .map(|t| {
-            let b = bytes(t);
-            if b <= 0.0 {
-                return 0.0;
-            }
-            let dur = t.duration_s();
-            if dur <= 0.0 {
-                // Instantaneous transaction: counts fully if inside.
-                return if t.start_s <= window_end { b } else { 0.0 };
-            }
-            let overlap = (t.end_s.min(window_end) - t.start_s.max(t0)).max(0.0);
-            b * overlap / dur
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -382,15 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_intervals_change_dimensionality() {
-        let txs = vec![tx(0.0, 10.0, 1.0, 10.0)];
-        let iv = [15.0, 60.0, 600.0];
-        let f = extract_tls_features_with_intervals(&txs, &iv);
-        assert_eq!(f.len(), 22 + 6);
-        assert_eq!(tls_feature_names_with_intervals(&iv).len(), 22 + 6);
-    }
-
-    #[test]
     fn feature_groups_are_prefixes() {
         assert_eq!(FeatureGroup::SessionLevel.len(), 4);
         assert_eq!(FeatureGroup::SessionPlusTransaction.len(), 22);
@@ -447,11 +336,6 @@ mod tests {
         let parallel = dtp_par::with_threads(4, || extract_tls_features_batch(&sessions));
         assert_eq!(serial, expect);
         assert_eq!(parallel, expect);
-        let checked = extract_tls_features_batch_checked(&sessions);
-        for (i, (row, q)) in checked.iter().enumerate() {
-            assert_eq!(row, &expect[i]);
-            assert!(q.is_pristine());
-        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests for feature extraction.
 
+use std::sync::Arc;
+
 use dtp_features::{
-    extract_flow_features, extract_packet_features, flow_feature_names, packet_feature_names,
-    stats, SeriesStats,
+    extract_flow_features, extract_packet_features, extract_tls_features, flow_feature_names,
+    packet_feature_names, stats, SeriesStats, TlsSessionAccumulator,
 };
-use dtp_telemetry::{Direction, FlowRecord, PacketCapture, PacketRecord};
+use dtp_telemetry::{Direction, FlowRecord, PacketCapture, PacketRecord, TlsTransactionRecord};
 use proptest::prelude::*;
 
 fn arb_packet() -> impl Strategy<Value = PacketRecord> {
@@ -39,7 +41,59 @@ fn arb_flow() -> impl Strategy<Value = FlowRecord> {
     )
 }
 
+/// A session of at least three TLS transactions with strictly increasing
+/// starts (gaps of 1 ms to 60 s), so its start order is unique.
+fn arb_session() -> impl Strategy<Value = Vec<TlsTransactionRecord>> {
+    proptest::collection::vec((0.001f64..60.0, 0.0f64..300.0, 0.0f64..1e5, 0.0f64..1e8), 3..40)
+        .prop_map(|txs| {
+            let mut start = 0.0;
+            txs.into_iter()
+                .enumerate()
+                .map(|(i, (gap, dur, up, down))| {
+                    start += gap;
+                    TlsTransactionRecord {
+                        start_s: start,
+                        end_s: start + dur,
+                        up_bytes: up,
+                        down_bytes: down,
+                        sni: Arc::from(format!("cdn{}.example", i % 4)),
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Fisher–Yates shuffle driven by a seeded LCG.
+fn shuffled<T: Clone>(xs: &[T], seed: u64) -> Vec<T> {
+    let mut out = xs.to_vec();
+    let mut state = seed;
+    for i in (1..out.len()).rev() {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        out.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    out
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
+    /// TLS extraction does not depend on record order: a shuffled session
+    /// gives the same feature bits as the sorted one, and both equal a
+    /// manual accumulator fold over the sorted records.
+    #[test]
+    fn tls_features_are_order_independent(session in arb_session(), seed in any::<u64>()) {
+        let sorted_bits = bits(&extract_tls_features(&session));
+        prop_assert_eq!(&bits(&extract_tls_features(&shuffled(&session, seed))), &sorted_bits);
+        let mut acc = TlsSessionAccumulator::new();
+        for t in &session {
+            acc.push(t);
+        }
+        prop_assert_eq!(&bits(&acc.features().0), &sorted_bits);
+    }
+
+
     /// Packet features are always finite and dimensionally stable,
     /// regardless of capture contents or ordering.
     #[test]

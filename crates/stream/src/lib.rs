@@ -14,10 +14,13 @@
 //! scored [`SessionVerdict`] for every session the moment it closes
 //! (boundary, idle timeout, or final flush).
 //!
-//! The headline guarantee, enforced by the workspace's differential test
-//! suite (`tests/stream_vs_batch.rs`): for any in-order replay, the
-//! emitted session boundaries, feature vectors, and predictions are
-//! **bitwise equal** to the batch pipeline's, at any thread count.
+//! The headline guarantee: for any in-order replay, the emitted session
+//! boundaries, feature vectors, and predictions are **bitwise equal** to
+//! the batch pipeline's, at any thread count. It holds by construction —
+//! the batch splitter and extractor are the same
+//! [`IncrementalSessionDetector`](dtp_core::IncrementalSessionDetector) and
+//! accumulator run to completion — and the workspace's differential suite
+//! (`tests/stream_vs_batch.rs`) guards it against regressions.
 //!
 //! ```
 //! use dtp_core::sessionid::stitch_sessions;

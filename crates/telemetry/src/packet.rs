@@ -33,6 +33,7 @@ pub struct PacketRecord {
 #[derive(Debug, Clone, Default)]
 pub struct PacketCapture {
     records: Vec<PacketRecord>,
+    dropped: usize,
 }
 
 impl PacketCapture {
@@ -41,13 +42,20 @@ impl PacketCapture {
         Self::default()
     }
 
-    /// Append a packet.
-    ///
-    /// # Panics
-    /// Panics if the timestamp is negative or non-finite.
+    /// Append a packet. A packet with a negative or non-finite timestamp
+    /// is dropped and counted in [`PacketCapture::dropped`] instead, so
+    /// every stored timestamp is finite and non-negative.
     pub fn push(&mut self, rec: PacketRecord) {
-        assert!(rec.ts_s.is_finite() && rec.ts_s >= 0.0, "bad packet timestamp");
-        self.records.push(rec);
+        if rec.ts_s.is_finite() && rec.ts_s >= 0.0 {
+            self.records.push(rec);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Packets refused by [`PacketCapture::push`] for a bad timestamp.
+    pub fn dropped(&self) -> usize {
+        self.dropped
     }
 
     /// All records in insertion order.
@@ -68,8 +76,7 @@ impl PacketCapture {
     /// Sort records by timestamp (captures from multiple connections are
     /// merged out of order).
     pub fn sort_by_time(&mut self) {
-        self.records
-            .sort_by(|a, b| a.ts_s.partial_cmp(&b.ts_s).expect("finite timestamps"));
+        self.records.sort_by(|a, b| a.ts_s.total_cmp(&b.ts_s));
     }
 
     /// Total bytes by direction: `(uplink, downlink)`.
@@ -136,9 +143,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad packet timestamp")]
-    fn negative_timestamp_rejected() {
-        PacketCapture::new().push(pkt(-1.0, Direction::Up, 1));
+    fn bad_timestamps_are_dropped_and_counted() {
+        let mut cap = PacketCapture::new();
+        cap.push(pkt(-1.0, Direction::Up, 1));
+        cap.push(pkt(f64::NAN, Direction::Up, 2));
+        cap.push(pkt(f64::INFINITY, Direction::Down, 3));
+        cap.push(pkt(0.5, Direction::Down, 4));
+        assert_eq!(cap.len(), 1);
+        assert_eq!(cap.dropped(), 3);
+        assert_eq!(cap.records()[0].size_bytes, 4);
+        cap.sort_by_time();
+        assert_eq!(cap.byte_totals(), (0, 4));
     }
 
     #[test]

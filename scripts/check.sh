@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: release build, full test suite (serial and 2-thread; the
-# pool and stream suites also at 4 threads), doc tests, lint-clean, and
+# pool and stream suites also at 4 threads), doc tests, the benchmark
+# package's tests, lint-clean, and
 # smoke runs of the pipeline cost profiler, the
 # parallel execution benchmark, and the streaming soak (their JSON
 # artifacts must carry the documented schema keys).
@@ -19,6 +20,9 @@ DTP_THREADS=2 cargo test -q --workspace
 # and its golden fixtures bit for bit.
 DTP_THREADS=4 cargo test -q -p dtp-par -p dtp-stream
 DTP_THREADS=4 cargo test -q --test stream_vs_batch --test golden_fixtures
+# The benchmark package builds against the library API (batch extraction,
+# the session splitter, the dataset builder): an API break fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p dtp-obs --all-targets -- -D warnings
 cargo clippy -p dtp-par --all-targets -- -D warnings
