@@ -7,10 +7,6 @@
 //!   2111/2216/1440 — set `DTP_SESSIONS=paper` for exact paper sizing),
 //! * `DTP_SEED` — corpus seed (default 7),
 //! * `DTP_JSON` — when set, also emit machine-readable JSON to stdout.
-//!
-//! Criterion benches (`cargo bench`) cover the per-operation costs: feature
-//! extraction (Table 4's 60× compute claim), model training, session
-//! simulation throughput, and the session-identification heuristic.
 
 use dtp_core::dataset::{Corpus, DatasetBuilder};
 use dtp_core::experiments::MetricScores;
@@ -53,25 +49,11 @@ impl RunConfig {
         };
         builder.seed(self.seed).capture_packets(capture_packets).build()
     }
-
-    /// Session count that `corpus` will produce for a service.
-    pub fn session_count(&self, service: ServiceId) -> usize {
-        self.sessions.unwrap_or(match service {
-            ServiceId::Svc1 => 2111,
-            ServiceId::Svc2 => 2216,
-            ServiceId::Svc3 => 1440,
-        })
-    }
 }
 
 /// Format a fraction as the paper prints it ("72%").
 pub fn pct(x: f64) -> String {
     format!("{:.0}%", x * 100.0)
-}
-
-/// Format a fraction with one decimal ("72.4%").
-pub fn pct1(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 /// Render a `MetricScores` triple as `A / R / P` percentages plus the
@@ -155,7 +137,6 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.724), "72%");
-        assert_eq!(pct1(0.724), "72.4%");
     }
 
     #[test]
@@ -170,14 +151,5 @@ mod tests {
     fn ragged_row_panics() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(&["1".into()]);
-    }
-
-    #[test]
-    fn default_config_sane() {
-        // No env manipulation (tests run in parallel): defaults only.
-        let cfg = RunConfig { sessions: Some(10), seed: 1, json: false };
-        assert_eq!(cfg.session_count(ServiceId::Svc1), 10);
-        let paper = RunConfig { sessions: None, seed: 1, json: false };
-        assert_eq!(paper.session_count(ServiceId::Svc2), 2216);
     }
 }

@@ -65,7 +65,7 @@ impl SimulatedSession {
 }
 
 /// TLS policy matching a service's client behaviour.
-pub fn policy_for(service: ServiceId) -> TlsPolicy {
+fn policy_for(service: ServiceId) -> TlsPolicy {
     match service {
         ServiceId::Svc1 => TlsPolicy::svc1(),
         ServiceId::Svc2 => TlsPolicy::svc2(),
@@ -83,7 +83,7 @@ pub fn cdn_for(service: ServiceId) -> CdnModel {
 }
 
 /// Link path parameters for a network environment.
-pub fn link_config_for(kind: TraceKind) -> LinkConfig {
+fn link_config_for(kind: TraceKind) -> LinkConfig {
     match kind {
         TraceKind::Broadband => LinkConfig::broadband(),
         TraceKind::Cellular3g | TraceKind::Lte => LinkConfig::cellular(),
@@ -92,7 +92,7 @@ pub fn link_config_for(kind: TraceKind) -> LinkConfig {
 
 /// The service's catalog (deterministic per service — the paper curates a
 /// fixed 50–75 title list per service).
-pub fn catalog_for(profile: &ServiceProfile) -> VideoCatalog {
+fn catalog_for(profile: &ServiceProfile) -> VideoCatalog {
     let seed = match profile.id {
         ServiceId::Svc1 => 0x5171,
         ServiceId::Svc2 => 0x5272,
@@ -128,7 +128,7 @@ impl SegmentFetcher for StackFetcher {
 /// codecs to different clients (H.264 baseline, VP9/AV1 where supported),
 /// with large bitrate differences *at the same resolution* — one of the
 /// reasons byte volume only statistically identifies video quality.
-pub fn codec_factor(seed: u64) -> f64 {
+fn codec_factor(seed: u64) -> f64 {
     // Deterministic per-session draw: ~45% H.264, ~40% VP9, ~15% AV1.
     let h = seed.wrapping_mul(0xd6e8_feb8_6659_fd93) >> 40;
     let u = h as f64 / (1u64 << 24) as f64;

@@ -10,33 +10,32 @@ use std::collections::BTreeMap;
 
 use serde_json::{Map, Value};
 
-use crate::registry::{Registry, Snapshot};
 use crate::span::FinishedSpan;
 
 /// One aggregated trace-tree node: every finished span sharing a `path`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanAggregate {
+struct SpanAggregate {
     /// `/`-joined ancestor chain (see [`FinishedSpan::path`]).
-    pub path: String,
+    path: String,
     /// The span name (last path component).
-    pub name: String,
+    name: String,
     /// Nesting depth.
-    pub depth: usize,
+    depth: usize,
     /// Spans aggregated into this node.
-    pub count: usize,
+    count: usize,
     /// Sum of durations, seconds.
-    pub total_s: f64,
+    total_s: f64,
     /// Shortest single span, seconds.
-    pub min_s: f64,
+    min_s: f64,
     /// Longest single span, seconds.
-    pub max_s: f64,
+    max_s: f64,
     /// Earliest start among the aggregated spans (drives display order).
-    pub first_start_s: f64,
+    first_start_s: f64,
 }
 
 impl SpanAggregate {
     /// Mean duration, seconds.
-    pub fn mean_s(&self) -> f64 {
+    fn mean_s(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -46,7 +45,7 @@ impl SpanAggregate {
 
 /// Aggregate finished spans by path, in pre-order (parents open before their
 /// children, so sorting by first start time reproduces the tree order).
-pub fn aggregate_spans(spans: &[FinishedSpan]) -> Vec<SpanAggregate> {
+fn aggregate_spans(spans: &[FinishedSpan]) -> Vec<SpanAggregate> {
     let mut by_path: BTreeMap<&str, SpanAggregate> = BTreeMap::new();
     for s in spans {
         let agg = by_path.entry(&s.path).or_insert_with(|| SpanAggregate {
@@ -71,7 +70,7 @@ pub fn aggregate_spans(spans: &[FinishedSpan]) -> Vec<SpanAggregate> {
 }
 
 /// Format a duration compactly (`412µs`, `16.3ms`, `9.81s`).
-pub fn fmt_duration(seconds: f64) -> String {
+fn fmt_duration(seconds: f64) -> String {
     if seconds < 1e-3 {
         format!("{:.0}µs", seconds * 1e6)
     } else if seconds < 1.0 {
@@ -125,51 +124,6 @@ pub fn span_tree_json(spans: &[FinishedSpan]) -> Value {
         })
         .collect();
     Value::Array(rows)
-}
-
-/// A metrics snapshot as JSON:
-/// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-pub fn snapshot_json(snap: &Snapshot) -> Value {
-    let mut counters = Map::new();
-    for (name, v) in &snap.counters {
-        counters.insert(name.clone(), Value::Number(*v as f64));
-    }
-    let mut gauges = Map::new();
-    for (name, v) in &snap.gauges {
-        gauges.insert(name.clone(), Value::Number(*v));
-    }
-    let mut histograms = Map::new();
-    for (name, h) in &snap.histograms {
-        let mut row = Map::new();
-        row.insert("count".into(), Value::Number(h.count as f64));
-        row.insert("rejected".into(), Value::Number(h.rejected as f64));
-        row.insert("sum".into(), Value::Number(h.sum));
-        row.insert("mean".into(), Value::Number(h.mean()));
-        // min/max are ±inf sentinels on an empty histogram; JSON has no
-        // infinity, so export them only when observed.
-        if h.count > 0 {
-            row.insert("min".into(), Value::Number(h.min));
-            row.insert("max".into(), Value::Number(h.max));
-            row.insert("p50".into(), Value::Number(h.p50));
-            row.insert("p95".into(), Value::Number(h.p95));
-            row.insert("p99".into(), Value::Number(h.p99));
-        }
-        histograms.insert(name.clone(), Value::Object(row));
-    }
-    let mut out = Map::new();
-    out.insert("counters".into(), Value::Object(counters));
-    out.insert("gauges".into(), Value::Object(gauges));
-    out.insert("histograms".into(), Value::Object(histograms));
-    Value::Object(out)
-}
-
-/// Everything a registry knows, as one JSON object:
-/// `{"metrics": ..., "spans": ...}`.
-pub fn registry_json(registry: &Registry) -> Value {
-    let mut out = Map::new();
-    out.insert("metrics".into(), snapshot_json(&registry.snapshot()));
-    out.insert("spans".into(), span_tree_json(&registry.finished_spans()));
-    Value::Object(out)
 }
 
 #[cfg(test)]
@@ -250,48 +204,5 @@ mod tests {
         let first = rows[0].as_object().expect("object");
         assert_eq!(first.get("path").unwrap().as_str().unwrap(), "pipeline");
         assert_eq!(first.get("total_s").unwrap().as_f64().unwrap(), 10.0);
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let r = Registry::new();
-        r.counter("ingest.accepted").add(12);
-        r.gauge("train.trees").set(100.0);
-        let h = r.histogram("extract.tls_seconds");
-        h.observe(0.5);
-        h.observe(1.0);
-        let v = snapshot_json(&r.snapshot());
-        let parsed: Value = serde_json::from_str(&v.to_string()).expect("valid JSON");
-        assert_eq!(parsed, v);
-        let m = parsed.as_object().unwrap();
-        let counters = m.get("counters").unwrap().as_object().unwrap();
-        assert_eq!(counters.get("ingest.accepted").unwrap().as_f64().unwrap(), 12.0);
-        let hists = m.get("histograms").unwrap().as_object().unwrap();
-        let tls = hists.get("extract.tls_seconds").unwrap().as_object().unwrap();
-        assert_eq!(tls.get("count").unwrap().as_f64().unwrap(), 2.0);
-        assert_eq!(tls.get("sum").unwrap().as_f64().unwrap(), 1.5);
-        assert!(tls.get("p95").is_some());
-    }
-
-    #[test]
-    fn empty_histogram_omits_infinite_fields() {
-        let r = Registry::new();
-        r.histogram("never.observed");
-        let v = snapshot_json(&r.snapshot());
-        let text = v.to_string();
-        assert!(!text.contains("inf"), "no infinity leaks into JSON: {text}");
-        let parsed: Value = serde_json::from_str(&text).expect("still parseable");
-        let h = parsed
-            .as_object()
-            .unwrap()
-            .get("histograms")
-            .unwrap()
-            .as_object()
-            .unwrap()
-            .get("never.observed")
-            .unwrap()
-            .as_object()
-            .unwrap();
-        assert!(h.get("min").is_none());
     }
 }

@@ -5,8 +5,7 @@ use dtp_obs::{global, registry::Registry, render_tree, span_tree_json};
 
 #[test]
 fn pipeline_shaped_run_exports_tree_and_json() {
-    // A miniature pipeline: nested stage spans plus counters, exactly the
-    // shape `pipeline_profile` produces.
+    // A miniature pipeline: nested stage spans plus counters.
     {
         let _pipeline = dtp_obs::span!("e2e_pipeline");
         {

@@ -130,15 +130,6 @@ impl Validity {
     pub fn is_clean(&self) -> bool {
         *self == Validity::default()
     }
-
-    /// Number of flags set.
-    pub fn flag_count(&self) -> usize {
-        usize::from(self.clamped_negative_duration)
-            + usize::from(self.zero_duration)
-            + usize::from(self.no_uplink_bytes)
-            + usize::from(self.missing_sni)
-            + usize::from(self.clamped_negative_start)
-    }
 }
 
 /// Running tallies for one ingest boundary (e.g. one [`ProxyLog`]).
@@ -173,15 +164,6 @@ impl IngestStats {
     /// Total records accepted (clean + repaired).
     pub fn accepted(&self) -> usize {
         self.accepted_clean + self.repaired
-    }
-
-    /// Per-reason quarantine counts as `(reason, count)` pairs.
-    pub fn quarantine_reasons(&self) -> [(&'static str, usize); 3] {
-        [
-            ("non_finite_time", self.non_finite_time),
-            ("non_finite_bytes", self.non_finite_bytes),
-            ("negative_bytes", self.negative_bytes),
-        ]
     }
 
     /// Record an acceptance with the given validity.
@@ -249,13 +231,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn validity_flag_count_matches_flags() {
+    fn validity_is_clean_only_without_flags() {
         let clean = Validity::default();
         assert!(clean.is_clean());
-        assert_eq!(clean.flag_count(), 0);
         let v = Validity { clamped_negative_duration: true, missing_sni: true, ..clean };
         assert!(!v.is_clean());
-        assert_eq!(v.flag_count(), 2);
     }
 
     #[test]
@@ -268,7 +248,7 @@ mod tests {
         assert_eq!(s.accepted(), 2);
         assert_eq!(s.repaired, 1);
         assert_eq!(s.missing_sni, 1);
-        assert_eq!(s.quarantine_reasons()[2], ("negative_bytes", 1));
+        assert_eq!(s.negative_bytes, 1);
     }
 
     #[test]

@@ -21,15 +21,6 @@ impl MemoryFootprint {
     pub fn of_records<T>(n: usize) -> Self {
         Self { records: n, bytes: n * std::mem::size_of::<T>() }
     }
-
-    /// How many times larger `self` is than `other`, by record count.
-    /// Returns `f64::INFINITY` when `other` is empty.
-    pub fn record_ratio(&self, other: &MemoryFootprint) -> f64 {
-        if other.records == 0 {
-            return f64::INFINITY;
-        }
-        self.records as f64 / other.records as f64
-    }
 }
 
 /// Wall-clock stopwatch for compute-overhead comparisons.
@@ -59,14 +50,6 @@ mod tests {
         let a = MemoryFootprint::of_records::<u64>(100);
         assert_eq!(a.records, 100);
         assert_eq!(a.bytes, 800);
-    }
-
-    #[test]
-    fn record_ratio_basic_and_degenerate() {
-        let big = MemoryFootprint { records: 28_000, bytes: 0 };
-        let small = MemoryFootprint { records: 20, bytes: 0 };
-        assert!((big.record_ratio(&small) - 1400.0).abs() < 1e-9);
-        assert!(big.record_ratio(&MemoryFootprint { records: 0, bytes: 0 }).is_infinite());
     }
 
     #[test]

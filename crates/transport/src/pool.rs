@@ -77,11 +77,6 @@ impl ConnectionPool {
         &self.policy
     }
 
-    /// Number of currently open connections.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Lease a connection to `host` for a request starting at `t`.
     ///
     /// Expires idle/over-age connections first. `parallel_target` is how
@@ -161,7 +156,7 @@ impl ConnectionPool {
     }
 
     /// Close every connection idle past its timeout at time `now`.
-    pub fn expire(&mut self, now: f64) {
+    fn expire(&mut self, now: f64) {
         let timeout = self.policy.idle_timeout_s;
         let mut i = 0;
         while i < self.open.len() {
@@ -177,7 +172,7 @@ impl ConnectionPool {
     /// The player went away at `session_end_s`: connections idle out on
     /// their own schedule, so each remaining transaction *ends after the
     /// session* at `last_activity + idle_timeout`.
-    pub fn close_all(&mut self) {
+    fn close_all(&mut self) {
         while let Some(c) = self.open.pop() {
             self.close_connection(c);
         }
@@ -240,7 +235,7 @@ mod tests {
         let l2 = pool.acquire(&host, 2.0, 1, &mut r);
         assert!(!l2.fresh);
         assert!((l2.idle_s - 1.0).abs() < 1e-9);
-        assert_eq!(pool.open_count(), 1);
+        assert_eq!(pool.open.len(), 1);
     }
 
     #[test]
@@ -252,7 +247,7 @@ mod tests {
         pool.acquire(&a, 0.0, 1, &mut r);
         let l = pool.acquire(&b, 0.0, 1, &mut r);
         assert!(l.fresh);
-        assert_eq!(pool.open_count(), 2);
+        assert_eq!(pool.open.len(), 2);
     }
 
     #[test]
@@ -285,7 +280,7 @@ mod tests {
             let l = pool.acquire(&host, i as f64, 1, &mut r);
             pool.record_usage(l, i as f64 + 0.5, 100.0, 1000.0, 1, 1);
         }
-        assert_eq!(pool.open_count(), 2, "third request must open a new connection");
+        assert_eq!(pool.open.len(), 2, "third request must open a new connection");
     }
 
     #[test]

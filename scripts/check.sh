@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: release build, full test suite (serial and 2-thread; the
 # pool and stream suites also at 4 threads), doc tests, the benchmark
-# package's tests, lint-clean, and
-# smoke runs of the pipeline cost profiler, the
-# parallel execution benchmark, and the streaming soak (their JSON
-# artifacts must carry the documented schema keys).
+# package's tests, lint-clean, and one end-to-end run of every paper
+# experiment binary at a small scale.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,46 +25,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p dtp-obs --all-targets -- -D warnings
 cargo clippy -p dtp-par --all-targets -- -D warnings
 
-profile=target/pipeline_profile.json
-rm -f "$profile"
-DTP_PROFILE_OUT="$profile" ./target/release/pipeline_profile --smoke
-if [[ ! -s "$profile" ]]; then
-    echo "check.sh: $profile missing or empty" >&2
-    exit 1
-fi
-for key in schema stages tls packet memory_ratio compute_ratio spans metrics; do
-    if ! grep -q "\"$key\"" "$profile"; then
-        echo "check.sh: $profile is missing required key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-bench=target/BENCH_parallel.json
-rm -f "$bench"
-DTP_BENCH_PARALLEL_OUT="$bench" ./target/release/bench_parallel --smoke
-if [[ ! -s "$bench" ]]; then
-    echo "check.sh: $bench missing or empty" >&2
-    exit 1
-fi
-for key in schema threads smoke extract_tls forest_fit predict cv serial_ms parallel_ms speedup; do
-    if ! grep -q "\"$key\"" "$bench"; then
-        echo "check.sh: $bench is missing required key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-stream=target/BENCH_stream.json
-rm -f "$stream"
-DTP_BENCH_STREAM_OUT="$stream" ./target/release/bench_stream --smoke
-if [[ ! -s "$stream" ]]; then
-    echo "check.sh: $stream missing or empty" >&2
-    exit 1
-fi
-for key in schema threads smoke records sessions records_per_sec sessions_per_sec p95_emit_ms; do
-    if ! grep -q "\"$key\"" "$stream"; then
-        echo "check.sh: $stream is missing required key \"$key\"" >&2
-        exit 1
-    fi
-done
+# Every table and figure binary, end to end; run_all exits nonzero if any
+# of them fails.
+DTP_SESSIONS=40 ./target/release/run_all >/dev/null
 
 echo "check.sh: all gates passed"

@@ -53,13 +53,14 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
+        Self { src: s, bytes: s.as_bytes(), pos: 0 }
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -125,8 +126,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>().map(Value::Number).map_err(|_| self.err("invalid number"))
     }
 
@@ -170,12 +170,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary.
+                    let Some(run) =
+                        self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
+                    else {
+                        self.pos = self.bytes.len();
+                        return Err(self.err("unterminated string"));
+                    };
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -302,6 +306,29 @@ mod tests {
         let compact = v.to_string();
         let again: Value = from_str(&compact).unwrap();
         assert_eq!(v, again);
+    }
+
+    #[test]
+    fn long_strings_and_dense_escapes_parse_in_linear_time() {
+        // 3 MB of mixed ASCII and multi-byte text in one string: decoding
+        // must copy runs, not re-validate the rest of the document per char.
+        let long: String = "abcdé€𝄞".repeat(1 << 18);
+        let doc = Value::Array(vec![Value::String(long.clone()), Value::Bool(true)]).to_string();
+        assert!(doc.len() > 3 << 20);
+        let v: Value = from_str(&doc).unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str().unwrap(), long);
+
+        // Most characters escaped, with every escape the writer emits.
+        let unit = "q\"\\/\n\r\té€\u{8}\u{c}\u{1}";
+        let escaped = unit.repeat(50_000);
+        let text = Value::String(escaped.clone()).to_string();
+        assert!(text.matches('\\').count() > 400_000);
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back.as_str().unwrap(), escaped);
+        let raw = format!("\"{}\"", "\\u00e9\\/".repeat(100_000));
+        let decoded: Value = from_str(&raw).unwrap();
+        assert_eq!(decoded.as_str().unwrap(), "é/".repeat(100_000));
+        assert!(from_str::<Value>("\"unterminated é").is_err());
     }
 
     #[test]

@@ -133,8 +133,12 @@ fn streaming_matches_batch_on_200_session_corpus_at_1_and_4_threads() {
 fn interleaved_clients_each_match_their_own_batch_pipeline() {
     // Three clients with distinct corpora, records interleaved by event
     // time into one engine: per-client verdict streams must still match
-    // the per-client batch pipelines.
+    // the per-client batch pipelines. The engine serves the model as it is
+    // deployed, through `to_json` → `from_json`; the batch reference keeps
+    // the trained estimator.
     let est = trained_estimator();
+    let deployed = QoeEstimator::from_json(&est.to_json()).expect("model round-trips");
+    assert_eq!(deployed.model_digest(), est.model_digest(), "deploy path changed the model");
     let corpora: Vec<(String, Vec<TlsTransactionRecord>)> = [(3usize, 31u64), (4, 32), (5, 33)]
         .iter()
         .enumerate()
@@ -150,23 +154,30 @@ fn interleaved_clients_each_match_their_own_batch_pipeline() {
     }
     merged.sort_by(|a, b| a.1.start_s.total_cmp(&b.1.start_s).then(a.0.cmp(&b.0)));
 
-    let mut eng = StreamEngine::new(trained_estimator(), replay_config()).expect("valid config");
+    let mut eng = StreamEngine::new(deployed, replay_config()).expect("valid config");
     let mut verdicts = Vec::new();
     for (i, rec) in merged {
         verdicts.extend(eng.push(&corpora[i].0, rec));
     }
     verdicts.extend(eng.finish());
+    assert_eq!(verdicts.len(), eng.stats().sessions_emitted, "verdicts match the engine tally");
+    assert_eq!(eng.stats().late_dropped, 0, "an event-time merge has no late records");
+    assert_eq!(eng.ingest_stats().quarantined, 0, "simulated records are clean");
 
     for (client, txs) in &corpora {
         let want = batch_reference(&est, txs);
         let got: Vec<&SessionVerdict> =
             verdicts.iter().filter(|v| &*v.client == client.as_str()).collect();
         assert_eq!(got.len(), want.len(), "{client}: session count");
-        for (i, (v, (n_txs, feat_bits, _, predicted))) in got.iter().zip(&want).enumerate() {
+        for (i, (v, (n_txs, feat_bits, proba_bits, predicted))) in
+            got.iter().zip(&want).enumerate()
+        {
             assert_eq!(v.ordinal, i, "{client}: ordinal");
             assert_eq!(v.transactions, *n_txs, "{client}: session {i} size");
             let got_feat: Vec<u64> = v.features.iter().map(|x| x.to_bits()).collect();
             assert_eq!(&got_feat, feat_bits, "{client}: session {i} features");
+            let got_proba: Vec<u64> = v.probabilities.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(&got_proba, proba_bits, "{client}: session {i} probabilities");
             assert_eq!(v.predicted, *predicted, "{client}: session {i} prediction");
         }
     }

@@ -2,7 +2,8 @@
 //! consistent — they are derived views of the same simulated transfers.
 
 use drop_the_packets::core::sim::{simulate_session, SessionConfig};
-use drop_the_packets::core::ServiceId;
+use drop_the_packets::core::experiments::table4_overhead;
+use drop_the_packets::core::{DatasetBuilder, ServiceId};
 use drop_the_packets::simnet::{TraceConfig, TraceKind};
 use drop_the_packets::telemetry::Direction;
 
@@ -99,4 +100,20 @@ fn transaction_ends_can_trail_the_session() {
         .filter(|t| t.end_s > wall)
         .count();
     assert!(trailing > 0, "some transactions must outlive the session");
+}
+
+#[test]
+fn packet_view_costs_more_records_and_extraction_than_tls() {
+    // Table 4's direction (§4.2): the packet view holds far more records
+    // than the TLS view and takes longer to extract features from.
+    let c = DatasetBuilder::new(ServiceId::Svc1).sessions(10).seed(3).capture_packets(true).build();
+    let o = table4_overhead(&c);
+    assert!(o.tls_extraction_s > 0.0, "TLS extraction was timed");
+    assert!(o.memory_ratio() > 1.0, "packets {} vs TLS {} per session", o.mean_packets, o.mean_tls);
+    assert!(
+        o.compute_ratio() > 1.0,
+        "packet extraction {} s vs TLS {} s",
+        o.packet_extraction_s,
+        o.tls_extraction_s
+    );
 }
