@@ -8,6 +8,7 @@ use dtp_features::extract_tls_features;
 use dtp_ml::cv::{cross_validate, CvResult};
 use dtp_ml::{Classifier, RandomForest, RandomForestConfig};
 use dtp_telemetry::TlsTransactionRecord;
+use serde_json::{Map, Value};
 
 use crate::dataset::Corpus;
 use crate::label::{QoeCategory, QoeMetricKind};
@@ -100,9 +101,7 @@ impl QoeEstimator {
     /// the paper's protocol (§4.2).
     pub fn evaluate(corpus: &Corpus, metric: QoeMetricKind, seed: u64) -> CvResult {
         let ds = corpus.tls_dataset(metric);
-        cross_validate(&ds, 5, seed, move || {
-            Box::new(RandomForest::new(Self::forest_config(seed)))
-        })
+        cross_validate(&ds, 5, seed, move || Box::new(RandomForest::new(Self::forest_config(seed))))
     }
 }
 
@@ -138,8 +137,7 @@ mod tests {
     fn feature_level_prediction_matches_transaction_level() {
         let corpus = DatasetBuilder::new(ServiceId::Svc1).sessions(30).seed(5).build();
         let est = QoeEstimator::train(&corpus, QoeMetricKind::Combined, 0);
-        let rows: Vec<Vec<f64>> =
-            corpus.records.iter().map(|r| r.tls_features.clone()).collect();
+        let rows: Vec<Vec<f64>> = corpus.records.iter().map(|r| r.tls_features.clone()).collect();
         let probas = est.predict_proba_features_batch(&rows);
         assert_eq!(probas.len(), rows.len());
         for (row, proba) in rows.iter().zip(&probas) {
@@ -170,39 +168,67 @@ mod tests {
     }
 }
 
-/// A serializable trained model: train centrally, deploy at the proxy.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct SavedModel {
-    /// The metric the model predicts.
-    pub metric: QoeMetricKind,
-    /// Feature column names the model expects, in order.
-    pub feature_names: Vec<String>,
-    /// The fitted forest.
-    forest: RandomForest,
-}
+/// The model artifact's format tag. Files without it (the derived v1
+/// layout) are refused.
+const MODEL_FORMAT: &str = "dtp.model.v2";
 
 impl QoeEstimator {
-    /// Export the trained model as JSON.
+    /// Export the trained model: train centrally, deploy at the proxy.
+    ///
+    /// The artifact is one JSON object: `format` (`"dtp.model.v2"`),
+    /// `metric` (the [`QoeMetricKind`] variant name), `feature_names` (the
+    /// 38 TLS feature columns, in order) and `forest` (see
+    /// [`RandomForest::to_value`]). The text is canonical:
+    /// [`model_digest`](Self::model_digest) hashes it.
     pub fn to_json(&self) -> String {
-        let saved = SavedModel {
-            metric: self.metric,
-            feature_names: dtp_features::tls_feature_names(),
-            forest: self.forest.clone(),
-        };
-        serde_json::to_string(&saved).expect("model serializes")
+        let mut doc = Map::new();
+        doc.insert("format".into(), Value::String(MODEL_FORMAT.into()));
+        doc.insert("metric".into(), Value::String(format!("{:?}", self.metric)));
+        let names = dtp_features::tls_feature_names();
+        doc.insert("feature_names".into(), serde_json::to_value(&names));
+        // Inserted by value: `json!` would deep-copy the whole forest.
+        doc.insert("forest".into(), self.forest.to_value());
+        Value::Object(doc).to_string()
     }
 
-    /// Restore a trained model from JSON.
+    /// Restore a trained model from [`to_json`](Self::to_json) text.
     ///
     /// # Errors
-    /// Returns the underlying decode error for malformed input, and rejects
-    /// models whose feature schema differs from this build's.
+    /// Refuses, without panicking or allocating beyond the input's size,
+    /// any text that is not a well-formed artifact of this build: a wrong
+    /// or missing format tag, an unknown metric, feature names other than
+    /// this build's 38, a forest whose `n_classes` is not the metric's 3
+    /// or whose trees could loop, index out of bounds or predict a
+    /// non-finite probability (see [`RandomForest::from_value`]).
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let saved: SavedModel = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if saved.feature_names != dtp_features::tls_feature_names() {
+        let doc: Value = serde_json::from_str(json).map_err(|e| format!("model: {e}"))?;
+        let field = |key: &str| doc.as_object().and_then(|d| d.get(key));
+        match field("format").and_then(Value::as_str) {
+            Some(MODEL_FORMAT) => {}
+            Some(other) => return Err(format!("model format {other:?} is not {MODEL_FORMAT:?}")),
+            None => {
+                return Err(format!(
+                    "not a {MODEL_FORMAT} model (files from older builds must be retrained)"
+                ))
+            }
+        }
+        let metric = field("metric").and_then(Value::as_str);
+        let metric = QoeMetricKind::ALL
+            .into_iter()
+            .find(|m| Some(format!("{m:?}").as_str()) == metric)
+            .ok_or_else(|| format!("model: unknown metric {metric:?}"))?;
+        let names = dtp_features::tls_feature_names();
+        let names_match = field("feature_names").and_then(Value::as_array).is_some_and(|got| {
+            got.len() == names.len() && got.iter().zip(&names).all(|(g, n)| g.as_str() == Some(n))
+        });
+        if !names_match {
             return Err("model was trained with a different feature schema".to_string());
         }
-        Ok(Self { forest: saved.forest, metric: saved.metric })
+        let forest = field("forest").ok_or("model: missing `forest`")?;
+        // Every metric labels a session with one of three categories.
+        let forest = RandomForest::from_value(forest, QoeCategory::ALL.len(), names.len())
+            .map_err(|e| format!("model: {e}"))?;
+        Ok(Self { forest, metric })
     }
 }
 
@@ -231,9 +257,26 @@ mod persistence_tests {
         assert!(QoeEstimator::from_json("not json").is_err());
         let corpus = DatasetBuilder::new(ServiceId::Svc1).sessions(25).seed(3).build();
         let est = QoeEstimator::train(&corpus, QoeMetricKind::Combined, 0);
-        let mut saved: SavedModel = serde_json::from_str(&est.to_json()).unwrap();
-        saved.feature_names.pop();
-        let tampered = serde_json::to_string(&saved).unwrap();
-        assert!(QoeEstimator::from_json(&tampered).is_err());
+        let tampered = |edit: &dyn Fn(&mut Map)| {
+            let mut doc: Value = serde_json::from_str(&est.to_json()).unwrap();
+            let Value::Object(map) = &mut doc else { unreachable!("artifact is an object") };
+            edit(map);
+            QoeEstimator::from_json(&doc.to_string())
+        };
+        assert!(tampered(&|_| {}).is_ok());
+        let err = tampered(&|m| {
+            let mut names = m.get("feature_names").unwrap().as_array().unwrap().clone();
+            names.pop();
+            m.insert("feature_names".into(), Value::Array(names));
+        });
+        assert_eq!(err.unwrap_err(), "model was trained with a different feature schema");
+        assert!(tampered(&|m| {
+            m.insert("metric".into(), Value::String("Latency".into()));
+        })
+        .is_err());
+        let err = tampered(&|m| {
+            m.insert("format".into(), Value::String("dtp.model.v1".into()));
+        });
+        assert!(err.unwrap_err().contains("dtp.model.v2"));
     }
 }

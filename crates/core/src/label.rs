@@ -8,13 +8,11 @@
 //! * **Combined QoE**: "the minimum category of the two QoE metrics" — a
 //!   session with zero re-buffering but low quality is *low* overall.
 
-use serde::{Deserialize, Serialize};
-
 use dtp_hasplayer::qoe::GroundTruth;
 use dtp_hasplayer::service::ServiceProfile;
 
 /// Ordered quality/QoE category: `Low < Medium < High`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QoeCategory {
     /// Worst bucket — the "video performance issue" class.
     Low,
@@ -56,7 +54,7 @@ impl QoeCategory {
 }
 
 /// Re-buffering severity category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RebufCategory {
     /// rr > 2% — the bad class.
     High,
@@ -68,7 +66,8 @@ pub enum RebufCategory {
 
 impl RebufCategory {
     /// All categories, worst first.
-    pub const ALL: [RebufCategory; 3] = [RebufCategory::High, RebufCategory::Mild, RebufCategory::Zero];
+    pub const ALL: [RebufCategory; 3] =
+        [RebufCategory::High, RebufCategory::Mild, RebufCategory::Zero];
 
     /// Class index for ML (0 = High = bad), aligning "bad" with index 0
     /// across metrics so recall-of-class-0 is always "recall of the problem
@@ -107,7 +106,7 @@ impl RebufCategory {
 }
 
 /// Which QoE metric a model estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QoeMetricKind {
     /// Re-buffering ratio category.
     Rebuffering,

@@ -10,8 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde_json::{Map, Value};
 
+use crate::flat::{numbers, FlatTree};
 use crate::tree::{argmax, normalize, DecisionTree, MaxFeatures, TreeConfig};
 use crate::Classifier;
 
@@ -23,7 +24,7 @@ use crate::Classifier;
 /// learner), while the forest overrides its trees to [`MaxFeatures::Sqrt`],
 /// the Random Forest de-correlation mechanism. Use [`Self::for_paper`] for
 /// the exact §4.2 configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RandomForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -57,7 +58,7 @@ impl RandomForestConfig {
 }
 
 /// A fitted Random Forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     config: RandomForestConfig,
     trees: Vec<DecisionTree>,
@@ -110,6 +111,68 @@ impl RandomForest {
     /// Number of fitted trees.
     pub fn tree_count(&self) -> usize {
         self.trees.len()
+    }
+
+    /// The fitted forest as an artifact document: `n_classes`,
+    /// `n_features`, and per tree the flat node columns `feature` (`-1` on
+    /// a leaf), `threshold`, `child` and `leaf`, and its raw `importances`.
+    /// The training config is not stored: [`Classifier::fit`] is its only
+    /// reader.
+    pub fn to_value(&self) -> Value {
+        let trees = self.trees.iter().map(|t| {
+            let mut doc = t.tree.to_value();
+            doc.insert("importances".into(), serde_json::to_value(&t.importances));
+            Value::Object(doc)
+        });
+        let mut doc = Map::new();
+        doc.insert("n_classes".into(), serde_json::to_value(&self.n_classes));
+        doc.insert("n_features".into(), serde_json::to_value(&self.n_features));
+        doc.insert("trees".into(), Value::Array(trees.collect()));
+        Value::Object(doc)
+    }
+
+    /// Restore a forest written by [`to_value`](Self::to_value) that must
+    /// have `n_classes` classes over `n_features` features. It predicts and
+    /// reports importances bit for bit as the original did; its config is
+    /// [`RandomForestConfig::default`] with `n_trees` set to its tree count,
+    /// so refitting it trains with those defaults.
+    ///
+    /// # Errors
+    /// When the header disagrees with `n_classes`/`n_features`, `trees` is
+    /// empty, or any tree is malformed: every split must have `feature <
+    /// n_features`, a finite threshold and children strictly after it, and
+    /// every leaf a row of exactly `n_classes` finite values. A forest that
+    /// loads can neither loop, index out of bounds nor predict a non-finite
+    /// probability.
+    pub fn from_value(doc: &Value, n_classes: usize, n_features: usize) -> Result<Self, String> {
+        let doc = doc.as_object().ok_or("a forest must be an object")?;
+        for (key, want) in [("n_classes", n_classes), ("n_features", n_features)] {
+            match doc.get(key).and_then(Value::as_f64) {
+                Some(got) if got == want as f64 => {}
+                Some(got) => return Err(format!("`{key}` is {got}, expected {want}")),
+                None => return Err(format!("missing number `{key}`")),
+            }
+        }
+        let trees = doc.get("trees").and_then(Value::as_array).ok_or("missing array `trees`")?;
+        if trees.is_empty() {
+            return Err("a forest needs trees".into());
+        }
+        let config = RandomForestConfig { n_trees: trees.len(), ..Default::default() };
+        let tree = |doc: &Value| {
+            let doc = doc.as_object().ok_or("a tree must be an object")?;
+            let importances = numbers(doc, "importances")?;
+            if importances.len() != n_features || importances.iter().any(|v| !v.is_finite()) {
+                return Err(format!("`importances` must be {n_features} finite values"));
+            }
+            let tree = FlatTree::from_value(doc, n_classes, n_features)?;
+            Ok(DecisionTree { config: config.tree, tree, importances })
+        };
+        let trees = trees
+            .iter()
+            .enumerate()
+            .map(|(i, t)| tree(t).map_err(|e| format!("tree {i}: {e}")))
+            .collect::<Result<_, String>>()?;
+        Ok(Self { config, trees, n_classes, n_features })
     }
 }
 
@@ -207,11 +270,7 @@ mod tests {
         let (xt, yt) = noisy(200, 2);
         let mut f = RandomForest::new(RandomForestConfig { n_trees: 40, ..Default::default() });
         f.fit(&x, &y, 2);
-        let correct = xt
-            .iter()
-            .zip(&yt)
-            .filter(|(s, &l)| f.predict(s) == l)
-            .count();
+        let correct = xt.iter().zip(&yt).filter(|(s, &l)| f.predict(s) == l).count();
         let acc = correct as f64 / yt.len() as f64;
         assert!(acc > 0.85, "accuracy {acc}");
     }
@@ -241,8 +300,11 @@ mod tests {
     fn deterministic_given_seed() {
         let (x, y) = noisy(150, 5);
         let mk = || {
-            let mut f =
-                RandomForest::new(RandomForestConfig { n_trees: 15, seed: 9, ..Default::default() });
+            let mut f = RandomForest::new(RandomForestConfig {
+                n_trees: 15,
+                seed: 9,
+                ..Default::default()
+            });
             f.fit(&x, &y, 2);
             (0..x.len()).map(|i| f.predict(&x[i])).collect::<Vec<_>>()
         };

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::flat::FlatTree;
 use crate::tree::argmax;
 use crate::Classifier;
 
@@ -34,16 +35,11 @@ impl Default for GbdtConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum RNode {
-    Leaf { value: f64 },
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
-}
-
-/// A shallow regression tree fit to gradients.
+/// A shallow regression tree fit to gradients: a [`FlatTree`] with one
+/// value per leaf.
 #[derive(Debug, Clone)]
 struct RegTree {
-    nodes: Vec<RNode>,
+    tree: FlatTree,
 }
 
 impl RegTree {
@@ -57,14 +53,15 @@ impl RegTree {
         min_leaf: usize,
         k_factor: f64,
     ) -> Self {
-        let mut t = Self { nodes: Vec::new() };
-        t.build(x, r, h, idx, 0, max_depth, min_leaf, k_factor);
+        let mut t = Self { tree: FlatTree::with_root(1) };
+        t.build(0, x, r, h, idx, 0, max_depth, min_leaf, k_factor);
         t
     }
 
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
+        node: usize,
         x: &[Vec<f64>],
         r: &[f64],
         h: &[f64],
@@ -73,15 +70,14 @@ impl RegTree {
         max_depth: usize,
         min_leaf: usize,
         k_factor: f64,
-    ) -> usize {
+    ) {
         let n = idx.len() as f64;
         let sum_r: f64 = idx.iter().map(|&i| r[i]).sum();
 
         let leaf_value = |sr: f64, sh: f64| k_factor * sr / sh.max(1e-9);
         if depth >= max_depth || idx.len() < 2 * min_leaf {
             let sum_h: f64 = idx.iter().map(|&i| h[i]).sum();
-            self.nodes.push(RNode::Leaf { value: leaf_value(sum_r, sum_h) });
-            return self.nodes.len() - 1;
+            return self.tree.set_leaf(node, [leaf_value(sum_r, sum_h)]);
         }
 
         // Best split by squared-residual-sum gain.
@@ -108,8 +104,7 @@ impl RegTree {
                     continue;
                 }
                 let right_sum = sum_r - left_sum;
-                let gain =
-                    left_sum * left_sum / nl + right_sum * right_sum / nr - parent_score;
+                let gain = left_sum * left_sum / nl + right_sum * right_sum / nr - parent_score;
                 if gain > best.map_or(1e-12, |b| b.2) {
                     best = Some((f, v, gain));
                 }
@@ -118,8 +113,7 @@ impl RegTree {
 
         let Some((feature, threshold, _)) = best else {
             let sum_h: f64 = idx.iter().map(|&i| h[i]).sum();
-            self.nodes.push(RNode::Leaf { value: leaf_value(sum_r, sum_h) });
-            return self.nodes.len() - 1;
+            return self.tree.set_leaf(node, [leaf_value(sum_r, sum_h)]);
         };
 
         let mut split_point = 0;
@@ -129,25 +123,14 @@ impl RegTree {
                 split_point += 1;
             }
         }
-        self.nodes.push(RNode::Leaf { value: 0.0 }); // placeholder
-        let me = self.nodes.len() - 1;
+        let child = self.tree.set_split(node, feature, threshold);
         let (l, rgt) = idx.split_at_mut(split_point);
-        let li = self.build(x, r, h, l, depth + 1, max_depth, min_leaf, k_factor);
-        let ri = self.build(x, r, h, rgt, depth + 1, max_depth, min_leaf, k_factor);
-        self.nodes[me] = RNode::Split { feature, threshold, left: li, right: ri };
-        me
+        self.build(child, x, r, h, l, depth + 1, max_depth, min_leaf, k_factor);
+        self.build(child + 1, x, r, h, rgt, depth + 1, max_depth, min_leaf, k_factor);
     }
 
     fn predict(&self, sample: &[f64]) -> f64 {
-        let mut node = 0;
-        loop {
-            match &self.nodes[node] {
-                RNode::Leaf { value } => return *value,
-                RNode::Split { feature, threshold, left, right } => {
-                    node = if sample[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        self.tree.leaf(sample)[0]
     }
 }
 
@@ -207,9 +190,8 @@ impl Classifier for Gbdt {
                 })
                 .collect();
             // Row subsample shared across the round.
-            let mut idx: Vec<usize> = (0..n)
-                .filter(|_| rng.random_range(0.0..1.0) < self.config.subsample)
-                .collect();
+            let mut idx: Vec<usize> =
+                (0..n).filter(|_| rng.random_range(0.0..1.0) < self.config.subsample).collect();
             if idx.len() < 2 * self.config.min_leaf {
                 idx = (0..n).collect();
             }
@@ -273,8 +255,8 @@ mod tests {
         let (xt, yt) = rings(200, 2);
         let mut g = Gbdt::new(GbdtConfig { rounds: 40, ..Default::default() });
         g.fit(&x, &y, 2);
-        let acc = xt.iter().zip(&yt).filter(|(s, &l)| g.predict(s) == l).count() as f64
-            / yt.len() as f64;
+        let acc =
+            xt.iter().zip(&yt).filter(|(s, &l)| g.predict(s) == l).count() as f64 / yt.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
@@ -285,7 +267,13 @@ mod tests {
         for i in 0..60 {
             let v = i as f64 / 10.0;
             x.push(vec![v]);
-            y.push(if v < 2.0 { 0 } else if v < 4.0 { 1 } else { 2 });
+            y.push(if v < 2.0 {
+                0
+            } else if v < 4.0 {
+                1
+            } else {
+                2
+            });
         }
         let mut g = Gbdt::new(GbdtConfig { rounds: 30, ..Default::default() });
         g.fit(&x, &y, 3);

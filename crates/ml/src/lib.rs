@@ -22,6 +22,7 @@
 
 pub mod cv;
 pub mod dataset;
+mod flat;
 pub mod forest;
 pub mod gbdt;
 pub mod knn;

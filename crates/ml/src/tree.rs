@@ -20,12 +20,12 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
+use crate::flat::FlatTree;
 use crate::Classifier;
 
 /// How many features to consider per split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaxFeatures {
     /// Every feature (classic single CART).
     All,
@@ -47,7 +47,7 @@ impl MaxFeatures {
 }
 
 /// Tree growth limits.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -61,14 +61,13 @@ pub struct TreeConfig {
 
 impl Default for TreeConfig {
     fn default() -> Self {
-        Self { max_depth: 18, min_samples_split: 2, min_samples_leaf: 1, max_features: MaxFeatures::All }
+        Self {
+            max_depth: 18,
+            min_samples_split: 2,
+            min_samples_leaf: 1,
+            max_features: MaxFeatures::All,
+        }
     }
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    Leaf { probs: Vec<f64> },
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
 }
 
 /// Cap on histogram bins per feature column.
@@ -159,19 +158,19 @@ impl SplitScratch {
     }
 }
 
-/// A fitted CART classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A fitted CART classifier: a flat tree whose leaves hold class
+/// probabilities.
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
-    config: TreeConfig,
-    nodes: Vec<Node>,
-    n_classes: usize,
-    importances: Vec<f64>,
+    pub(crate) config: TreeConfig,
+    pub(crate) tree: FlatTree,
+    pub(crate) importances: Vec<f64>,
 }
 
 impl DecisionTree {
     /// Unfitted tree with the given limits.
     pub fn new(config: TreeConfig) -> Self {
-        Self { config, nodes: Vec::new(), n_classes: 0, importances: Vec::new() }
+        Self { config, tree: FlatTree::default(), importances: Vec::new() }
     }
 
     /// Fit on the rows of `x` selected by `indices` (with repetition allowed
@@ -187,28 +186,19 @@ impl DecisionTree {
         assert!(!indices.is_empty(), "cannot fit a tree on no samples");
         assert_eq!(x.len(), y.len(), "features and labels must align");
         let d = x[0].len();
-        self.n_classes = n_classes;
-        self.nodes.clear();
+        self.tree = FlatTree::with_root(n_classes);
         self.importances = vec![0.0; d];
         let mut idx = indices.to_vec();
         let total = idx.len() as f64;
         let binned = BinnedMatrix::build(x, indices);
         let mut scratch = SplitScratch::new(n_classes);
-        self.build(x, y, &mut idx, 0, total, rng, &binned, &mut scratch);
+        self.build(0, x, y, &mut idx, 0, total, rng, &binned, &mut scratch);
     }
 
     /// Class probabilities for one sample.
     pub fn predict_proba(&self, sample: &[f64]) -> &[f64] {
-        assert!(!self.nodes.is_empty(), "tree is not fitted");
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { probs } => return probs,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if sample[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        assert!(self.tree.len() > 0, "tree is not fitted");
+        self.tree.leaf(sample)
     }
 
     /// Raw (unnormalized) impurity-decrease importances.
@@ -218,21 +208,22 @@ impl DecisionTree {
 
     /// Number of nodes in the fitted tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.tree.len()
     }
 
     fn class_counts(&self, y: &[usize], idx: &[usize]) -> Vec<f64> {
-        let mut counts = vec![0.0; self.n_classes];
+        let mut counts = vec![0.0; self.tree.width()];
         for &i in idx {
             counts[y[i]] += 1.0;
         }
         counts
     }
 
-    /// Build the subtree over `idx` (which it reorders), returning its node id.
+    /// Build the subtree over `idx` (which it reorders) into `node`.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
+        node: usize,
         x: &[Vec<f64>],
         y: &[usize],
         idx: &mut [usize],
@@ -241,22 +232,16 @@ impl DecisionTree {
         rng: &mut StdRng,
         binned: &BinnedMatrix,
         scratch: &mut SplitScratch,
-    ) -> usize {
+    ) {
         let counts = self.class_counts(y, idx);
         let n = idx.len() as f64;
         let node_gini = gini(&counts, n);
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            let probs = counts.iter().map(|c| c / n).collect();
-            nodes.push(Node::Leaf { probs });
-            nodes.len() - 1
-        };
 
         if depth >= self.config.max_depth
             || idx.len() < self.config.min_samples_split
             || node_gini <= 1e-12
         {
-            return make_leaf(&mut self.nodes);
+            return self.tree.set_leaf(node, counts.iter().map(|c| c / n));
         }
 
         // Feature subset for this split.
@@ -267,7 +252,7 @@ impl DecisionTree {
         feats.truncate(k);
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, decrease)
-        let nc = self.n_classes;
+        let nc = self.tree.width();
         let min_leaf = self.config.min_samples_leaf.max(1) as f64;
         for &f in &feats {
             let nb = binned.n_bins(f);
@@ -309,7 +294,7 @@ impl DecisionTree {
         }
 
         let Some((feature, threshold, decrease)) = best else {
-            return make_leaf(&mut self.nodes);
+            return self.tree.set_leaf(node, counts.iter().map(|c| c / n));
         };
         self.importances[feature] += (n / total) * decrease;
 
@@ -323,17 +308,11 @@ impl DecisionTree {
         }
         debug_assert!(split_point > 0 && split_point < idx.len());
 
-        // Reserve our slot, then build children.
-        self.nodes.push(Node::Leaf { probs: Vec::new() }); // placeholder
-        let me = self.nodes.len() - 1;
-        let (li, ri) = {
-            let (l, r) = idx.split_at_mut(split_point);
-            let li = self.build(x, y, l, depth + 1, total, rng, binned, scratch);
-            let ri = self.build(x, y, r, depth + 1, total, rng, binned, scratch);
-            (li, ri)
-        };
-        self.nodes[me] = Node::Split { feature, threshold, left: li, right: ri };
-        me
+        // Reserve both child slots, then build left before right.
+        let child = self.tree.set_split(node, feature, threshold);
+        let (l, r) = idx.split_at_mut(split_point);
+        self.build(child, x, y, l, depth + 1, total, rng, binned, scratch);
+        self.build(child + 1, x, y, r, depth + 1, total, rng, binned, scratch);
     }
 }
 
@@ -444,15 +423,8 @@ mod tests {
 
     #[test]
     fn multiclass_probabilities_sum_to_one() {
-        let x = vec![
-            vec![0.0],
-            vec![1.0],
-            vec![2.0],
-            vec![10.0],
-            vec![11.0],
-            vec![20.0],
-            vec![21.0],
-        ];
+        let x =
+            vec![vec![0.0], vec![1.0], vec![2.0], vec![10.0], vec![11.0], vec![20.0], vec![21.0]];
         let y = vec![0, 0, 0, 1, 1, 2, 2];
         let mut t = DecisionTree::new(TreeConfig::default());
         t.fit(&x, &y, 3);

@@ -3,20 +3,17 @@
 use dtp_ml::cv::stratified_kfold;
 use dtp_ml::{
     Classifier, DecisionTree, Gbdt, GbdtConfig, KnnClassifier, LinearSvm, LinearSvmConfig,
-    StandardScaler, TreeConfig,
+    RandomForest, RandomForestConfig, StandardScaler, TreeConfig,
 };
 use proptest::prelude::*;
 
 fn arb_rows(max_classes: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<usize>)> {
-    proptest::collection::vec(
-        (proptest::collection::vec(-1e3f64..1e3, 3), 0..max_classes),
-        8..60,
-    )
-    .prop_map(|rows| {
-        let x: Vec<Vec<f64>> = rows.iter().map(|r| r.0.clone()).collect();
-        let y: Vec<usize> = rows.iter().map(|r| r.1).collect();
-        (x, y)
-    })
+    proptest::collection::vec((proptest::collection::vec(-1e3f64..1e3, 3), 0..max_classes), 8..60)
+        .prop_map(|rows| {
+            let x: Vec<Vec<f64>> = rows.iter().map(|r| r.0.clone()).collect();
+            let y: Vec<usize> = rows.iter().map(|r| r.1).collect();
+            (x, y)
+        })
 }
 
 proptest! {
@@ -41,6 +38,38 @@ proptest! {
         t.fit(&x, &y, 2);
         for (row, &label) in x.iter().zip(&y) {
             prop_assert_eq!(t.predict(row), label);
+        }
+    }
+
+    /// Every fitted forest satisfies its own loader: the artifact decodes
+    /// to a forest that re-encodes to the same text and predicts bit for
+    /// bit the same, and every split's children come after it.
+    #[test]
+    fn fitted_forests_round_trip_through_the_artifact((x, y) in arb_rows(3)) {
+        let mut f = RandomForest::new(RandomForestConfig { n_trees: 5, ..Default::default() });
+        f.fit(&x, &y, 3);
+        let text = f.to_value().to_string();
+        let doc = serde_json::from_str(&text).unwrap();
+        let back = RandomForest::from_value(&doc, 3, 3).unwrap();
+        prop_assert_eq!(back.to_value().to_string(), text);
+        let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for row in &x {
+            prop_assert_eq!(bits(back.predict_proba(row)), bits(f.predict_proba(row)));
+        }
+        prop_assert_eq!(
+            bits(back.feature_importances().unwrap()),
+            bits(f.feature_importances().unwrap())
+        );
+        let column = |tree: &serde_json::Value, key: &str| -> Vec<f64> {
+            let v = tree.as_object().unwrap().get(key).unwrap().as_array().unwrap();
+            v.iter().map(|n| n.as_f64().unwrap()).collect()
+        };
+        let trees = doc.as_object().unwrap().get("trees").unwrap().as_array().unwrap();
+        for tree in trees {
+            let (feature, child) = (column(tree, "feature"), column(tree, "child"));
+            for (i, (&feat, &c)) in feature.iter().zip(&child).enumerate() {
+                prop_assert!(feat == -1.0 || c > i as f64, "node {} points back to {}", i, c);
+            }
         }
     }
 

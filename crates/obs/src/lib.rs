@@ -24,7 +24,7 @@
 //! `span.train.forest_fit`, …
 //!
 //! The crate is air-gapped like the rest of the workspace: it depends only
-//! on the vendored `serde`/`serde_json` shims.
+//! on the vendored `serde_json` shim.
 
 pub mod export;
 pub mod registry;

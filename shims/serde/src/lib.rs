@@ -1,16 +1,12 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment is air-gapped, so the workspace vendors a minimal
-//! serialization framework with the same surface syntax: a
-//! `#[derive(Serialize, Deserialize)]` pair (from the sibling
-//! `serde_derive` proc-macro crate) and [`Serialize`]/[`Deserialize`]
-//! traits. Instead of serde's visitor architecture, both traits go through
-//! one concrete data model, [`Value`] — a JSON document tree — which the
-//! companion `serde_json` shim renders and parses. Numbers are `f64`
-//! (exact for the integers this workspace serializes, which stay far below
-//! 2^53). Enum encoding matches serde's externally-tagged default.
-
-pub use serde_derive::{Deserialize, Serialize};
+//! serialization layer: one concrete data model, [`Value`] — a JSON
+//! document tree — and a [`Serialize`] trait that encodes values into it
+//! (which `serde_json`'s `json!` macro builds on). The companion
+//! `serde_json` shim renders and parses the tree; decoding into Rust types
+//! is written by hand where it is needed. Numbers are `f64` (exact for the
+//! integers this workspace writes, which stay far below 2^53).
 
 /// An ordered JSON object: preserves insertion order, like `serde_json`'s
 /// `preserve_order` feature, so emitted documents read in source order.
@@ -40,14 +36,9 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Look up by key, mutably.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        self.entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Iterate entries in insertion order.
@@ -56,18 +47,7 @@ impl Map {
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        let mut m = Map::new();
-        for (k, v) in iter {
-            m.insert(k, v);
-        }
-        m
-    }
-}
-
-/// A JSON document tree — the single data model behind the shim's
-/// `Serialize`/`Deserialize` traits.
+/// A JSON document tree — the shim's single data model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -114,25 +94,6 @@ impl Value {
         match self {
             Value::Number(n) => Some(*n),
             _ => None,
-        }
-    }
-
-    /// Boolean value, if a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 }
@@ -194,48 +155,10 @@ impl std::fmt::Display for Value {
     }
 }
 
-/// Deserialization failure: what was expected, what was found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError(String);
-
-impl DeError {
-    /// Type mismatch while decoding `context`.
-    pub fn expected(what: &str, context: &str, found: &Value) -> Self {
-        Self(format!("expected {what} for {context}, found {}", found.kind()))
-    }
-
-    /// A required object field was absent.
-    pub fn missing_field(field: &str) -> Self {
-        Self(format!("missing field `{field}`"))
-    }
-
-    /// Free-form decode failure.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Self(msg.into())
-    }
-}
-
-impl std::fmt::Display for DeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for DeError {}
-
 /// Conversion into the [`Value`] data model.
 pub trait Serialize {
     /// Encode `self` as a document tree.
     fn to_value(&self) -> Value;
-}
-
-/// Conversion out of the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Decode from a document tree.
-    ///
-    /// # Errors
-    /// Returns [`DeError`] on shape or type mismatches.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
 }
 
 impl Serialize for bool {
@@ -244,25 +167,11 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::expected("bool", "bool", v))
-    }
-}
-
 macro_rules! impl_serde_num {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
-                    .as_f64()
-                    .ok_or_else(|| DeError::expected("number", stringify!($t), v))?;
-                Ok(n as $t)
             }
         }
     )*};
@@ -276,27 +185,9 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str().map(str::to_owned).ok_or_else(|| DeError::expected("string", "String", v))
-    }
-}
-
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
-    }
-}
-
-impl Serialize for std::sync::Arc<str> {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for std::sync::Arc<str> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str().map(std::sync::Arc::from).ok_or_else(|| DeError::expected("string", "Arc<str>", v))
     }
 }
 
@@ -306,30 +197,11 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::expected("array", "Vec", v))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
         }
     }
 }
@@ -356,7 +228,7 @@ macro_rules! impl_serialize_tuple {
     )*};
 }
 
-impl_serialize_tuple!((A.0) (A.0, B.1) (A.0, B.1, C.2) (A.0, B.1, C.2, D.3));
+impl_serialize_tuple!((A.0)(A.0, B.1)(A.0, B.1, C.2)(A.0, B.1, C.2, D.3));
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
@@ -367,12 +239,6 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
     }
 }
 
@@ -404,16 +270,19 @@ mod tests {
         assert_eq!(m.insert("k".into(), Value::Number(3.0)), Some(Value::Number(1.0)));
         assert_eq!(m.iter().next().unwrap().0, "k");
         assert_eq!(m.get("k"), Some(&Value::Number(3.0)));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
     }
 
     #[test]
-    fn primitive_round_trips() {
-        assert_eq!(f64::from_value(&3.5f64.to_value()).unwrap(), 3.5);
-        assert_eq!(usize::from_value(&7usize.to_value()).unwrap(), 7);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
-        assert_eq!(Vec::<u32>::from_value(&vec![1u32, 2].to_value()).unwrap(), vec![1, 2]);
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert!(bool::from_value(&Value::Number(1.0)).is_err());
+    fn primitives_encode_as_values() {
+        assert_eq!(3.5f64.to_value(), Value::Number(3.5));
+        assert_eq!(7usize.to_value(), Value::Number(7.0));
+        assert_eq!("hi".to_value(), Value::String("hi".into()));
+        assert_eq!(
+            vec![1u32, 2].to_value(),
+            Value::Array(vec![Value::Number(1.0), Value::Number(2.0)])
+        );
+        assert_eq!(None::<u32>.to_value(), Value::Null);
+        assert_eq!((true, "x").to_value().to_string(), r#"[true,"x"]"#);
     }
 }

@@ -2,21 +2,22 @@
 //!
 //! Renders and parses the [`Value`] document tree defined by the workspace's
 //! vendored `serde` shim. Provides the pieces this repo actually calls:
-//! [`to_string`], [`from_str`], [`to_value`], the [`json!`] macro (objects
-//! with expression keys, nested objects, and arbitrary `Serialize` values),
-//! and re-exports of [`Value`] / [`Map`]. Output is compact (no whitespace),
-//! with object keys in insertion order.
+//! [`from_str`] (which always yields a [`Value`]), [`to_value`], the
+//! [`json!`] macro (objects with expression keys, nested objects, and
+//! arbitrary `Serialize` values), and re-exports of [`Value`] / [`Map`].
+//! Values render as compact JSON through `Display`, with object keys in
+//! insertion order.
 
 pub use serde::{Map, Value};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Encode any [`Serialize`] value as a document tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()
 }
 
-/// Serialization/deserialization failure.
+/// A JSON parse failure, with the byte offset where it was found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -28,28 +29,12 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error(e.to_string())
-    }
-}
-
-/// Render a value as compact JSON.
+/// Parse JSON text into a document tree.
 ///
 /// # Errors
-/// Infallible for this shim's data model (kept `Result` for serde_json API
-/// compatibility).
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_string())
-}
-
-/// Parse JSON text and decode it into `T`.
-///
-/// # Errors
-/// Returns [`Error`] on malformed JSON or a shape mismatch for `T`.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = Parser::new(s).parse_document()?;
-    Ok(T::from_value(&value)?)
+/// Returns [`Error`] on malformed JSON.
+pub fn from_str(s: &str) -> Result<Value, Error> {
+    Parser::new(s).parse_document()
 }
 
 struct Parser<'a> {
@@ -120,10 +105,7 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')
-        ) {
+        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')) {
             self.pos += 1;
         }
         let text = &self.src[start..self.pos];
@@ -301,10 +283,10 @@ mod tests {
     #[test]
     fn parse_round_trip() {
         let text = r#"{"a": [1, 2.5, -3e2], "s": "x\n\"yA", "t": true, "n": null}"#;
-        let v: Value = from_str(text).unwrap();
+        let v = from_str(text).unwrap();
         assert_eq!(v.as_object().unwrap().get("s").unwrap().as_str().unwrap(), "x\n\"yA");
         let compact = v.to_string();
-        let again: Value = from_str(&compact).unwrap();
+        let again = from_str(&compact).unwrap();
         assert_eq!(v, again);
     }
 
@@ -315,7 +297,7 @@ mod tests {
         let long: String = "abcdé€𝄞".repeat(1 << 18);
         let doc = Value::Array(vec![Value::String(long.clone()), Value::Bool(true)]).to_string();
         assert!(doc.len() > 3 << 20);
-        let v: Value = from_str(&doc).unwrap();
+        let v = from_str(&doc).unwrap();
         assert_eq!(v.as_array().unwrap()[0].as_str().unwrap(), long);
 
         // Most characters escaped, with every escape the writer emits.
@@ -323,25 +305,25 @@ mod tests {
         let escaped = unit.repeat(50_000);
         let text = Value::String(escaped.clone()).to_string();
         assert!(text.matches('\\').count() > 400_000);
-        let back: Value = from_str(&text).unwrap();
+        let back = from_str(&text).unwrap();
         assert_eq!(back.as_str().unwrap(), escaped);
         let raw = format!("\"{}\"", "\\u00e9\\/".repeat(100_000));
-        let decoded: Value = from_str(&raw).unwrap();
+        let decoded = from_str(&raw).unwrap();
         assert_eq!(decoded.as_str().unwrap(), "é/".repeat(100_000));
-        assert!(from_str::<Value>("\"unterminated é").is_err());
+        assert!(from_str("\"unterminated é").is_err());
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(from_str::<Value>("{\"a\": }").is_err());
-        assert!(from_str::<Value>("[1, 2").is_err());
-        assert!(from_str::<Value>("true false").is_err());
-        assert!(from_str::<Value>("").is_err());
+        assert!(from_str("{\"a\": }").is_err());
+        assert!(from_str("[1, 2").is_err());
+        assert!(from_str("true false").is_err());
+        assert!(from_str("").is_err());
     }
 
     #[test]
     fn error_display_is_usable() {
-        let e = from_str::<Value>("nope").unwrap_err();
+        let e = from_str("nope").unwrap_err();
         assert!(e.to_string().contains("expected"));
     }
 }

@@ -113,9 +113,7 @@ fn metric_opt(opts: &HashMap<String, String>) -> Result<QoeMetricKind, String> {
     }
 }
 
-fn build_corpus(
-    opts: &HashMap<String, String>,
-) -> Result<drop_the_packets::core::Corpus, String> {
+fn build_corpus(opts: &HashMap<String, String>) -> Result<drop_the_packets::core::Corpus, String> {
     let service = service_opt(opts)?;
     let sessions: usize = num_opt(opts, "sessions", 200)?;
     let seed: u64 = num_opt(opts, "seed", 7)?;
@@ -163,7 +161,13 @@ fn read_transactions(path: &str) -> Result<Vec<TlsTransactionRecord>, String> {
             return Err(format!("{path}:{}: expected 5 columns, got {}", ln + 1, cols.len()));
         }
         let parse = |i: usize| -> Result<f64, String> {
-            cols[i].parse().map_err(|_| format!("{path}:{}: bad number {:?}", ln + 1, cols[i]))
+            let v: f64 = cols[i]
+                .parse()
+                .map_err(|_| format!("{path}:{}: bad number {:?}", ln + 1, cols[i]))?;
+            if !v.is_finite() {
+                return Err(format!("{path}:{}: non-finite number {:?}", ln + 1, cols[i]));
+            }
+            Ok(v)
         };
         out.push(TlsTransactionRecord {
             start_s: parse(0)?,
@@ -176,7 +180,8 @@ fn read_transactions(path: &str) -> Result<Vec<TlsTransactionRecord>, String> {
     if out.is_empty() {
         return Err(format!("{path}: no transactions"));
     }
-    out.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).expect("finite starts"));
+    // `split` groups records in slice order, so the slice must be sorted.
+    out.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
     Ok(out)
 }
 

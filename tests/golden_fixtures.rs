@@ -80,7 +80,7 @@ fn run_pipeline(spec: &FixtureSpec) -> (String, Vec<SessionVerdict>) {
     (digest, verdicts)
 }
 
-/// Serialize the pipeline output as the fixture's canonical pretty JSON.
+/// Render the pipeline output as the fixture's canonical pretty JSON.
 fn render_fixture(spec: &FixtureSpec, digest: &str, verdicts: &[SessionVerdict]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
