@@ -1,21 +1,85 @@
-//! # dtp-bench — experiment harness
+//! # dtp-bench — the paper's reproduction
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the full
-//! index). Every binary accepts the same environment knobs:
+//! Every table and figure of the paper, and each extension experiment, is
+//! one entry of [`EXPERIMENTS`] (see DESIGN.md §4 for the full index). The
+//! `dtp-repro` binary runs one of them by name, or `all` of them in order in
+//! one process. Every experiment reads the same environment knobs:
 //!
 //! * `DTP_SESSIONS` — sessions per service (default 600; the paper uses
 //!   2111/2216/1440 — set `DTP_SESSIONS=paper` for exact paper sizing),
 //! * `DTP_SEED` — corpus seed (default 7),
 //! * `DTP_JSON` — when set, also emit machine-readable JSON to stdout.
 
+use std::cell::OnceCell;
+
 use dtp_core::dataset::{Corpus, DatasetBuilder};
 use dtp_core::experiments::MetricScores;
 use dtp_core::ServiceId;
 
-pub use dtp_obs::{Reporter, Verbosity};
+mod repro {
+    pub mod extra_abr_ablation;
+    pub mod extra_detection_tradeoff;
+    pub mod extra_emimic;
+    pub mod extra_flow_granularity;
+    pub mod extra_intervals;
+    pub mod extra_models;
+    pub mod extra_realtime;
+    pub mod extra_startup_mos;
+    pub mod fig2;
+    pub mod fig3;
+    pub mod fig4;
+    pub mod fig5;
+    pub mod fig6;
+    pub mod fig7;
+    pub mod robustness;
+    pub mod table2;
+    pub mod table3;
+    pub mod table4;
+    pub mod table5;
+}
 
-/// Scale knobs shared by all experiment binaries.
-#[derive(Debug, Clone, Copy)]
+/// An experiment's name on the `dtp-repro` command line, and its body.
+pub type Experiment = (&'static str, fn(&RunConfig));
+
+/// Every experiment, in the order `dtp-repro all` prints them. The last
+/// entry, the robustness sweep, is not a paper artifact and runs only by
+/// name.
+pub const EXPERIMENTS: [Experiment; 19] = [
+    ("fig2", repro::fig2::run),
+    ("fig3", repro::fig3::run),
+    ("fig4", repro::fig4::run),
+    ("fig5", repro::fig5::run),
+    ("table2", repro::table2::run),
+    ("table3", repro::table3::run),
+    ("fig6", repro::fig6::run),
+    ("fig7", repro::fig7::run),
+    ("table4", repro::table4::run),
+    ("table5", repro::table5::run),
+    ("extra_models", repro::extra_models::run),
+    ("extra_flow_granularity", repro::extra_flow_granularity::run),
+    ("extra_abr_ablation", repro::extra_abr_ablation::run),
+    ("extra_emimic", repro::extra_emimic::run),
+    ("extra_realtime", repro::extra_realtime::run),
+    ("extra_startup_mos", repro::extra_startup_mos::run),
+    ("extra_detection_tradeoff", repro::extra_detection_tradeoff::run),
+    ("extra_intervals", repro::extra_intervals::run),
+    ("robustness", repro::robustness::run),
+];
+
+/// The experiments `dtp-repro <name>` runs: the one called `name`, or for
+/// `all` every entry of [`EXPERIMENTS`] but the robustness sweep.
+pub fn select(name: &str) -> Option<&'static [Experiment]> {
+    if name == "all" {
+        return Some(&EXPERIMENTS[..EXPERIMENTS.len() - 1]);
+    }
+    let i = EXPERIMENTS.iter().position(|(n, _)| *n == name)?;
+    Some(&EXPERIMENTS[i..=i])
+}
+
+/// One reproduction run: the scale knobs shared by all experiments, and
+/// each service's TLS corpus at that scale, built on first use and shared
+/// by every experiment that reads it.
+#[derive(Debug)]
 pub struct RunConfig {
     /// Sessions per service; `None` means paper-sized corpora.
     pub sessions: Option<usize>,
@@ -23,25 +87,36 @@ pub struct RunConfig {
     pub seed: u64,
     /// Also print JSON.
     pub json: bool,
+    tls_corpora: [OnceCell<Corpus>; 3],
 }
 
 impl RunConfig {
-    /// Read knobs from the environment.
-    pub fn from_env() -> Self {
+    /// Read knobs from the environment; a malformed value is an error
+    /// naming the variable.
+    pub fn from_env() -> Result<Self, String> {
         let sessions = match std::env::var("DTP_SESSIONS") {
             Ok(v) if v == "paper" => None,
-            Ok(v) => Some(v.parse().expect("DTP_SESSIONS must be a number or 'paper'")),
+            Ok(v) => Some(
+                v.parse()
+                    .map_err(|_| format!("DTP_SESSIONS must be a number or 'paper', got {v:?}"))?,
+            ),
             Err(_) => Some(600),
         };
-        let seed = std::env::var("DTP_SEED")
-            .ok()
-            .map(|v| v.parse().expect("DTP_SEED must be a u64"))
-            .unwrap_or(7);
+        let seed = match std::env::var("DTP_SEED") {
+            Ok(v) => v.parse().map_err(|_| format!("DTP_SEED must be a u64, got {v:?}"))?,
+            Err(_) => 7,
+        };
         let json = std::env::var("DTP_JSON").is_ok();
-        Self { sessions, seed, json }
+        Ok(Self { sessions, seed, json, tls_corpora: Default::default() })
     }
 
-    /// Build the corpus for one service at the configured scale.
+    /// The TLS corpus (no packet capture) for one service, built at most
+    /// once per run.
+    pub fn tls_corpus(&self, service: ServiceId) -> &Corpus {
+        self.tls_corpora[service as usize].get_or_init(|| self.corpus(service, false))
+    }
+
+    /// Build a fresh corpus for one service at the configured scale.
     pub fn corpus(&self, service: ServiceId, capture_packets: bool) -> Corpus {
         let builder = match self.sessions {
             Some(n) => DatasetBuilder::new(service).sessions(n),
@@ -68,7 +143,7 @@ pub fn arp(s: &MetricScores) -> String {
     )
 }
 
-/// JSON object for a `MetricScores` cell, shared by every bench binary's
+/// JSON object for a `MetricScores` cell, shared by every experiment's
 /// `DTP_JSON` output so the schema stays uniform.
 pub fn scores_json(s: &MetricScores) -> serde_json::Value {
     serde_json::json!({
@@ -86,7 +161,7 @@ pub fn heading(title: &str) {
     println!("{}", "=".repeat(72));
 }
 
-/// A fixed-width text table writer for the experiment binaries.
+/// A fixed-width text table writer for the experiments.
 #[derive(Debug, Default)]
 pub struct TextTable {
     header: Vec<String>,
@@ -133,6 +208,16 @@ impl TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_is_every_experiment_but_the_robustness_sweep() {
+        let all: Vec<&str> = select("all").unwrap().iter().map(|(name, _)| *name).collect();
+        assert_eq!(all.len(), EXPERIMENTS.len() - 1);
+        assert!(!all.contains(&"robustness"));
+        assert_eq!(select("robustness").unwrap()[0].0, "robustness");
+        assert_eq!(select("table4").unwrap()[0].0, "table4");
+        assert!(select("table4_packet_vs_tls").is_none());
+    }
 
     #[test]
     fn pct_formats() {

@@ -6,11 +6,10 @@
 //! for stall avoidance; sticky adaptation on a small buffer trades stalls
 //! for quality.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::abr_ablation;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: ABR design ablation (same traces, same content, Svc2 chassis)");
 
     let sessions = cfg.sessions.unwrap_or(600).min(1200);

@@ -2,20 +2,19 @@
 //!
 //! The use case (§1, §4.2) is *adaptive monitoring*: flag low-QoE locations,
 //! then spend scarce fine-grained collection capacity there. That makes the
-//! detector's threshold an economic knob — this binary sweeps it, turning
+//! detector's threshold an economic knob — this experiment sweeps it, turning
 //! the classifier into a recall/precision/flag-budget tradeoff curve.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::detection_tradeoff;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: low-QoE detection operating points (Svc1, Combined QoE)");
 
-    let corpus = cfg.corpus(ServiceId::Svc1, false);
+    let corpus = cfg.tls_corpus(ServiceId::Svc1);
     let thresholds = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
-    let rows = detection_tradeoff(&corpus, &thresholds, cfg.seed);
+    let rows = detection_tradeoff(corpus, &thresholds, cfg.seed);
 
     let mut table = TextTable::new(&[
         "P(low) threshold",

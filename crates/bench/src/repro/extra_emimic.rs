@@ -8,12 +8,11 @@
 //!   approach (\[22\]): training-free player emulation, but HTTP boundaries
 //!   for encrypted traffic must be recovered from packet-class data.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::estimation_strategy_comparison;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: learned vs model-based estimation (Combined QoE)");
 
     let sessions = cfg.sessions.unwrap_or(600).min(1000);

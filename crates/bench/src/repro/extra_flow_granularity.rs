@@ -3,15 +3,14 @@
 //! The paper conjectures flow records are "similar to TLS transaction data"
 //! (one TLS transaction per TCP connection) with an option of periodic
 //! exports from long flows, but notes video identification is harder (no
-//! SNI). This binary measures the *accuracy* side of that tradeoff, assuming
+//! SNI). This experiment measures the *accuracy* side of that tradeoff, assuming
 //! identification is solved out of band (e.g. DNS augmentation \[7\]).
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::flow_granularity_comparison;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: flow-record granularity vs TLS transactions (Combined QoE)");
 
     let sessions = cfg.sessions.unwrap_or(600);

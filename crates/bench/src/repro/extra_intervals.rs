@@ -3,19 +3,18 @@
 //!
 //! "We explored other intervals (omitted due to lack of space) but found the
 //! above to yield the highest accuracy. Regardless, we consider these
-//! intervals as one of the hyperparameters of our model." This binary scores
+//! intervals as one of the hyperparameters of our model." This experiment scores
 //! nested subsets of the default interval set {30,60,120,240,480,720,960,
 //! 1200}.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::interval_ablation;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: temporal-interval ablation (Combined QoE, Svc1)");
 
-    let corpus = cfg.corpus(ServiceId::Svc1, false);
+    let corpus = cfg.tls_corpus(ServiceId::Svc1);
     let sets: [(&str, &[f64]); 5] = [
         ("none (SL+TS only equivalent)", &[]),
         ("{60}", &[60.0]),
@@ -27,7 +26,7 @@ fn main() {
     let mut table = TextTable::new(&["Interval set", "Accuracy", "Recall(low)", "Precision(low)"]);
     let mut json = serde_json::Map::new();
     for (label, set) in sets {
-        let s = interval_ablation(&corpus, set, cfg.seed);
+        let s = interval_ablation(corpus, set, cfg.seed);
         table.row(&[
             label.to_string(),
             pct(s.accuracy),

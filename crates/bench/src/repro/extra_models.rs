@@ -2,22 +2,21 @@
 //!
 //! "We tested different ML-based models, namely SVM, k-NN, XGBoost, Random
 //! Forest, and Multilayer Perceptron. Here, we present results using Random
-//! Forest ... as it yielded the highest accuracy." This binary runs all five
+//! Forest ... as it yielded the highest accuracy." This experiment runs all five
 //! families through the identical 5-fold CV protocol so that claim can be
 //! checked.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::model_family_comparison;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: model-family comparison (Combined QoE, 5-fold CV)");
 
     let mut json = serde_json::Map::new();
     for svc in ServiceId::ALL {
-        let corpus = cfg.corpus(svc, false);
-        let rows = model_family_comparison(&corpus, cfg.seed);
+        let corpus = cfg.tls_corpus(svc);
+        let rows = model_family_comparison(corpus, cfg.seed);
         println!("\n{} ({} sessions)", svc.name(), corpus.len());
         let mut table = TextTable::new(&["Model", "Accuracy", "Recall(low)", "Precision(low)"]);
         let mut best = ("", f64::MIN);
@@ -31,7 +30,7 @@ fn main() {
             if s.accuracy > best.1 {
                 best = (name, s.accuracy);
             }
-            json.insert(format!("{}/{}", svc.name(), name), dtp_bench::scores_json(s));
+            json.insert(format!("{}/{}", svc.name(), name), crate::scores_json(s));
         }
         table.print();
         println!("  best: {} ({})", best.0, pct(best.1));

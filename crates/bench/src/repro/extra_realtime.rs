@@ -7,12 +7,11 @@
 //! horizon — i.e. how long an ISP must wait before the coarse view becomes
 //! informative about the session's (final) combined QoE.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::realtime_lag_curve;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: accuracy vs observation horizon (Combined QoE, Svc1)");
 
     let sessions = cfg.sessions.unwrap_or(600).min(1200);

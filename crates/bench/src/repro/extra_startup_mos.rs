@@ -7,12 +7,11 @@
 //! but only the first two (plus their combination) are estimated. Here we
 //! check how far the 38 TLS features go on the rest.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::startup_and_mos_experiment;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Extra: startup-delay and MOS estimation from TLS features");
 
     let sessions = cfg.sessions.unwrap_or(600).min(1200);

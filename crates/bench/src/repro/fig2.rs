@@ -3,17 +3,16 @@
 //!
 //! The paper's point: "a single TLS transaction contains multiple and
 //! variable number of HTTP transactions" — an average of 12.1 HTTP per TLS
-//! for Svc1. This binary renders the same timeline as text and reports the
+//! for Svc1. This experiment renders the same timeline as text and reports the
 //! aggregation ratio over a small corpus.
 
-use dtp_bench::{heading, RunConfig};
+use crate::{heading, RunConfig};
 use dtp_core::sim::{simulate_session, SessionConfig};
 use dtp_core::ServiceId;
 use dtp_simnet::{BandwidthTrace, TraceKind};
 use dtp_telemetry::http::http_per_tls;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 2: TLS vs HTTP transactions, first 5 s of a Svc1 session");
 
     let session = simulate_session(&SessionConfig {

@@ -4,12 +4,11 @@
 //! (b) distribution of session durations over the 0–1 / 1–2 / 2–5 / 5–20
 //! minute buckets.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_simnet::stats::cdf_points;
 use dtp_simnet::TraceCorpus;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 3: Bandwidth trace statistics");
 
     let n = cfg.sessions.unwrap_or(2000);

@@ -5,17 +5,16 @@
 //! *re-buffering* (quality-sticky ABR on a small buffer); Svc3 sits in
 //! between.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::label::QoeMetricKind;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 4: Distribution of QoE metrics across services");
 
     let corpora: Vec<_> = ServiceId::ALL
         .iter()
-        .map(|&svc| (svc, cfg.corpus(svc, false)))
+        .map(|&svc| (svc, cfg.tls_corpus(svc)))
         .collect();
 
     let specs: [(&str, QoeMetricKind, [&str; 3]); 3] = [

@@ -6,18 +6,17 @@
 //! reversed (71% vs 40%); Svc3 in between (63% / 58%). Combined QoE recall
 //! 73–85% across all services.
 
-use dtp_bench::{arp, heading, scores_json, RunConfig, TextTable};
+use crate::{arp, heading, scores_json, RunConfig, TextTable};
 use dtp_core::experiments::fig5_accuracy;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 5: Accuracy for different QoE metrics (Random Forest, 5-fold CV)");
 
     let mut json = serde_json::Map::new();
     for svc in ServiceId::ALL {
-        let corpus = cfg.corpus(svc, false);
-        let rows = fig5_accuracy(&corpus, cfg.seed);
+        let corpus = cfg.tls_corpus(svc);
+        let rows = fig5_accuracy(corpus, cfg.seed);
         println!("\n{} ({} sessions)", svc.name(), corpus.len());
         let mut table = TextTable::new(&[
             "QoE metric",
@@ -29,9 +28,9 @@ fn main() {
         for (metric, s) in &rows {
             table.row(&[
                 metric.name().to_string(),
-                dtp_bench::pct(s.accuracy),
-                dtp_bench::pct(s.recall_low),
-                dtp_bench::pct(s.precision_low),
+                crate::pct(s.accuracy),
+                crate::pct(s.recall_low),
+                crate::pct(s.precision_low),
                 s.support_low.to_string(),
             ]);
             json.insert(format!("{}/{}", svc.name(), metric.name()), scores_json(s));

@@ -7,19 +7,18 @@
 
 use std::collections::HashMap;
 
-use dtp_bench::{heading, RunConfig};
+use crate::{heading, RunConfig};
 use dtp_core::experiments::fig6_importance;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 6: Top-10 feature importances per service (Random Forest)");
 
     let mut appearance: HashMap<String, usize> = HashMap::new();
     let mut json = serde_json::Map::new();
     for svc in ServiceId::ALL {
-        let corpus = cfg.corpus(svc, false);
-        let top = fig6_importance(&corpus, 10, cfg.seed);
+        let corpus = cfg.tls_corpus(svc);
+        let top = fig6_importance(corpus, 10, cfg.seed);
         println!("\n{}", svc.name());
         for (name, weight) in &top {
             let bar = "#".repeat((weight * 200.0) as usize);

@@ -6,7 +6,7 @@
 //! combined-QoE sessions — evidence that the within-session transaction
 //! patterns carry signal beyond session-level volume. Medium overlaps both.
 
-use dtp_bench::{heading, RunConfig, TextTable};
+use crate::{heading, RunConfig, TextTable};
 use dtp_core::dataset::Corpus;
 use dtp_core::experiments::fig7_matched_feature;
 use dtp_core::ServiceId;
@@ -51,7 +51,7 @@ fn sdr_band(corpus: &Corpus, duration_range_s: (f64, f64)) -> (f64, f64) {
     }
 }
 
-fn run(corpus: &Corpus, feature: &str, unit: &str, scale: f64) -> serde_json::Value {
+fn panel(corpus: &Corpus, feature: &str, unit: &str, scale: f64) -> serde_json::Value {
     let band = sdr_band(corpus, (120.0, 180.0));
     let groups = fig7_matched_feature(corpus, feature, (120.0, 180.0), band);
     println!(
@@ -77,14 +77,13 @@ fn run(corpus: &Corpus, feature: &str, unit: &str, scale: f64) -> serde_json::Va
     serde_json::Value::Object(json)
 }
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Figure 7: Matched-session feature distributions by combined-QoE class");
 
-    let svc1 = cfg.corpus(ServiceId::Svc1, false);
-    let a = run(&svc1, "CUM_DL_60s", "MB", 1e-6);
-    let svc2 = cfg.corpus(ServiceId::Svc2, false);
-    let b = run(&svc2, "D2U_MED", "", 1.0);
+    let svc1 = cfg.tls_corpus(ServiceId::Svc1);
+    let a = panel(svc1, "CUM_DL_60s", "MB", 1e-6);
+    let svc2 = cfg.tls_corpus(ServiceId::Svc2);
+    let b = panel(svc2, "D2U_MED", "", 1.0);
 
     println!(
         "\nPaper shape: within the matched slice, low-QoE sessions sit clearly below\n\

@@ -11,14 +11,15 @@
 //! Sweep: `FaultPlan::uniform(rate)` for rate ∈ {0, 5, 10, 15, 20, 30}%,
 //! plus the pathological 100%-missing-SNI case. Rate 0 must reproduce the
 //! clean baseline bit-for-bit (the injector is the identity there); the
-//! binary verifies this and fails loudly if it does not.
+//! experiment verifies this and fails loudly if it does not.
 
-use dtp_bench::{heading, pct, Reporter, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::sim::{session_seed, simulate_corpus};
 use dtp_core::{QoeEstimator, ServiceId};
 use dtp_faults::{FaultInjector, FaultPlan, FaultReport};
 use dtp_features::extract_tls_features_checked;
 use dtp_ml::{Classifier, ConfusionMatrix, RandomForest};
+use dtp_obs::Reporter;
 use dtp_simnet::TraceCorpus;
 use dtp_telemetry::{IngestStats, ProxyLog, TlsTransactionRecord};
 
@@ -38,8 +39,7 @@ struct SweepResult {
     imputed: usize,
 }
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     let reporter = Reporter::from_env();
     heading("Robustness: combined-QoE accuracy under injected telemetry faults (Svc1)");
 

@@ -4,16 +4,15 @@
 //! (43%) — "most of the mis-classifications happen between neighboring
 //! classes", with medium the hardest class.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::table2_confusion;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Table 2: Confusion matrix — Svc1, Combined QoE (row-normalized)");
 
-    let corpus = cfg.corpus(ServiceId::Svc1, false);
-    let cm = table2_confusion(&corpus, cfg.seed);
+    let corpus = cfg.tls_corpus(ServiceId::Svc1);
+    let cm = table2_confusion(corpus, cfg.seed);
     let rows = cm.row_normalized();
     let classes = ["low", "med", "high"];
 

@@ -5,12 +5,11 @@
 //! add a little more. "Despite being coarse-granular, TLS transactions
 //! within a session can provide useful information about the QoE."
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::experiments::table3_ablation;
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Table 3: Feature-set ablation (Combined QoE, Random Forest, 5-fold CV)");
 
     let mut table = TextTable::new(&[
@@ -21,8 +20,8 @@ fn main() {
     ]);
     let mut per_service = Vec::new();
     for svc in ServiceId::ALL {
-        let corpus = cfg.corpus(svc, false);
-        per_service.push(table3_ablation(&corpus, cfg.seed));
+        let corpus = cfg.tls_corpus(svc);
+        per_service.push(table3_ablation(corpus, cfg.seed));
     }
     let n_groups = per_service[0].len();
     let mut json = serde_json::Map::new();

@@ -6,12 +6,11 @@
 //! as new — on an "extreme case" stream where *every* session is played
 //! back-to-back.
 
-use dtp_bench::{heading, pct, RunConfig, TextTable};
+use crate::{heading, pct, RunConfig, TextTable};
 use dtp_core::sessionid::{evaluate_splitter, stitch_sessions, SessionIdParams};
 use dtp_core::ServiceId;
 
-fn main() {
-    let cfg = RunConfig::from_env();
+pub fn run(cfg: &RunConfig) {
     heading("Table 5: Session identification on back-to-back sessions (Svc1)");
 
     let n_sessions = cfg.sessions.unwrap_or(600).min(1500);

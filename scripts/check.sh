@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: release build, full test suite (serial and 2-thread; the
 # pool and stream suites also at 4 threads), doc tests, the benchmark
-# package's tests, lint-clean, and one end-to-end run of every paper
-# experiment binary at a small scale.
+# package's tests, lint-clean, and the paper reproduction at a small scale
+# diffed against its pinned transcript.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,8 +25,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p dtp-obs --all-targets -- -D warnings
 cargo clippy -p dtp-par --all-targets -- -D warnings
 
-# Every table and figure binary, end to end; run_all exits nonzero if any
-# of them fails.
-DTP_SESSIONS=40 ./target/release/run_all >/dev/null
+# Every table and figure, end to end: stdout must match the pinned transcript
+# byte for byte, serially and on two threads. Re-bless an intended change with:
+#   DTP_LOG=quiet DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all > tests/fixtures/repro_sessions40_seed7.txt
+for threads in 1 2; do
+  DTP_THREADS=$threads DTP_LOG=quiet DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all \
+    | diff tests/fixtures/repro_sessions40_seed7.txt -
+done
 
 echo "check.sh: all gates passed"
