@@ -19,7 +19,6 @@ use dtp_core::{QoeEstimator, ServiceId};
 use dtp_faults::{FaultInjector, FaultPlan, FaultReport};
 use dtp_features::extract_tls_features_checked;
 use dtp_ml::{Classifier, ConfusionMatrix, RandomForest};
-use dtp_obs::Reporter;
 use dtp_simnet::TraceCorpus;
 use dtp_telemetry::{IngestStats, ProxyLog, TlsTransactionRecord};
 
@@ -40,18 +39,16 @@ struct SweepResult {
 }
 
 pub fn run(cfg: &RunConfig) {
-    let reporter = Reporter::from_env();
     heading("Robustness: combined-QoE accuracy under injected telemetry faults (Svc1)");
 
     let sessions = cfg.sessions.unwrap_or(600).min(900);
-    reporter.verbose(&format!("simulating {sessions} sessions (seed {})", cfg.seed));
     let (train, test) = build_split(ServiceId::Svc1, sessions, cfg.seed);
-    reporter.info(&format!(
+    println!(
         "{} sessions simulated ({} train / {} test), model: Random Forest on 38 TLS features",
         train.len() + test.len(),
         train.len(),
         test.len()
-    ));
+    );
 
     // Train once, on clean data only — degradation below is purely a
     // test-time data-quality effect, as in deployment. Extraction fans out
@@ -78,7 +75,6 @@ pub fn run(cfg: &RunConfig) {
     ]);
     let mut json = serde_json::Map::new();
     for p in &points {
-        reporter.verbose(&format!("evaluating: {}", p.label));
         let r = evaluate(&forest, &test, &p.plan, cfg.seed);
         if p.plan.is_identity() {
             // Acceptance gate: the identity plan must not move the metric.
@@ -118,7 +114,7 @@ pub fn run(cfg: &RunConfig) {
     }
     table.print();
 
-    reporter.info(
+    println!(
         "\nReading: the pipeline degrades, it does not fall over — every record is\n\
          accepted, repaired, or quarantined with a counted reason; features stay\n\
          finite; the model keeps emitting verdicts at every fault rate swept.",

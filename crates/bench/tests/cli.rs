@@ -11,7 +11,7 @@ use dtp_bench::EXPERIMENTS;
 /// Run `dtp-repro` with `args` and only the given `DTP_*` knobs set.
 fn repro(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dtp-repro"));
-    for var in ["DTP_SESSIONS", "DTP_SEED", "DTP_JSON", "DTP_LOG"] {
+    for var in ["DTP_SESSIONS", "DTP_SEED", "DTP_JSON"] {
         cmd.env_remove(var);
     }
     cmd.args(args).envs(env.iter().copied()).output().expect("launch dtp-repro")
@@ -60,7 +60,7 @@ fn malformed_knobs_are_usage_errors() {
 /// `dtp-repro all` transcript.
 #[test]
 fn one_experiment_prints_its_slice_of_the_pinned_transcript() {
-    let out = repro(&["fig3"], &[("DTP_SESSIONS", "40"), ("DTP_SEED", "7"), ("DTP_LOG", "quiet")]);
+    let out = repro(&["fig3"], &[("DTP_SESSIONS", "40"), ("DTP_SEED", "7")]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     assert!(stdout.contains("Figure 3: Bandwidth trace statistics"), "{stdout}");

@@ -114,7 +114,7 @@ impl SessionSplitter {
     /// jitter upstream) is pushed in stable `total_cmp` start order.
     pub fn detect(&self, transactions: &[TlsTransactionRecord]) -> Vec<bool> {
         let _span = dtp_obs::span!("split.detect");
-        dtp_obs::global().counter("split.transactions").add(transactions.len() as u64);
+        dtp_obs::counter!("split.transactions").add(transactions.len() as u64);
         let mut order: Vec<usize> = (0..transactions.len()).collect();
         if !transactions.windows(2).all(|w| w[0].start_s <= w[1].start_s) {
             order.sort_by(|&a, &b| transactions[a].start_s.total_cmp(&transactions[b].start_s));

@@ -41,22 +41,19 @@ impl FaultReport {
     /// registry accumulates across sessions while each report stays a
     /// per-stream view.
     fn publish(&self) {
-        let reg = dtp_obs::global();
-        for (name, value) in [
-            ("faults.input_records", self.input_records),
-            ("faults.output_records", self.output_records),
-            ("faults.dropped", self.dropped),
-            ("faults.duplicated", self.duplicated),
-            ("faults.merged", self.merged),
-            ("faults.sni_removed", self.sni_removed),
-            ("faults.durations_corrupted", self.durations_corrupted),
-            ("faults.time_perturbed", self.time_perturbed),
-            ("faults.truncated", self.truncated),
-            ("faults.collapsed_links", self.collapsed_links),
+        for (counter, value) in [
+            (dtp_obs::counter!("faults.input_records"), self.input_records),
+            (dtp_obs::counter!("faults.output_records"), self.output_records),
+            (dtp_obs::counter!("faults.dropped"), self.dropped),
+            (dtp_obs::counter!("faults.duplicated"), self.duplicated),
+            (dtp_obs::counter!("faults.merged"), self.merged),
+            (dtp_obs::counter!("faults.sni_removed"), self.sni_removed),
+            (dtp_obs::counter!("faults.durations_corrupted"), self.durations_corrupted),
+            (dtp_obs::counter!("faults.time_perturbed"), self.time_perturbed),
+            (dtp_obs::counter!("faults.truncated"), self.truncated),
+            (dtp_obs::counter!("faults.collapsed_links"), self.collapsed_links),
         ] {
-            if value > 0 {
-                reg.counter(name).add(value as u64);
-            }
+            counter.add(value as u64);
         }
     }
 
@@ -269,7 +266,7 @@ impl FaultInjector {
             .enumerate()
             .map(|(i, &s)| if i >= pivot { s * self.plan.collapse_factor } else { s })
             .collect();
-        dtp_obs::global().counter("faults.collapsed_links").inc();
+        dtp_obs::counter!("faults.collapsed_links").inc();
         (BandwidthTrace::new(collapsed, trace.interval_s()), true)
     }
 }

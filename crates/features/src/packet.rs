@@ -70,7 +70,7 @@ pub fn extract_packet_features(capture: &PacketCapture) -> Vec<f64> {
     let _span = dtp_obs::span!("extract.packet");
     let n_features = packet_feature_names().len();
     let records = capture.records();
-    dtp_obs::global().counter("extract.packet_records").add(records.len() as u64);
+    dtp_obs::counter!("extract.packet_records").add(records.len() as u64);
     if records.is_empty() {
         return vec![0.0; n_features];
     }

@@ -134,7 +134,7 @@ pub fn extract_tls_features_checked(
     transactions: &[TlsTransactionRecord],
 ) -> (Vec<f64>, FeatureQuality) {
     let _span = dtp_obs::span!("extract.tls");
-    dtp_obs::global().counter("extract.tls_records").add(transactions.len() as u64);
+    dtp_obs::counter!("extract.tls_records").add(transactions.len() as u64);
     let mut acc = TlsSessionAccumulator::new();
     if transactions.windows(2).all(|w| w[0].start_s <= w[1].start_s) {
         transactions.iter().for_each(|t| acc.push(t));

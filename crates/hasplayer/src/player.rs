@@ -85,7 +85,7 @@ impl Player {
     /// Stream `asset` through `fetcher`, returning the full session trace.
     pub fn play(&self, asset: &VideoAsset, fetcher: &mut dyn SegmentFetcher) -> SessionTrace {
         let _span = dtp_obs::span!("simulate.play");
-        dtp_obs::global().counter("simulate.sessions").inc();
+        dtp_obs::counter!("simulate.sessions").inc();
         Engine::new(&self.config, asset).run(fetcher)
     }
 }

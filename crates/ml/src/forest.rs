@@ -208,12 +208,12 @@ impl Classifier for RandomForest {
     }
 
     fn predict(&self, x: &[f64]) -> usize {
-        dtp_obs::global().counter("predict.calls").inc();
+        dtp_obs::counter!("predict.calls").inc();
         argmax(&self.predict_proba(x))
     }
 
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        dtp_obs::global().counter("predict.calls").add(xs.len() as u64);
+        dtp_obs::counter!("predict.calls").add(xs.len() as u64);
         dtp_par::par_map("predict.forest_batch", xs, |_, x| {
             PROBA_BUF.with(|buf| {
                 let mut buf = buf.borrow_mut();

@@ -5,6 +5,8 @@
 //! negative gradient of the cross-entropy loss, with Friedman's leaf-value
 //! estimate and row subsampling.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -89,13 +91,21 @@ impl RegTree {
         for f in 0..d {
             sorted.clear();
             sorted.extend(idx.iter().map(|&i| (x[i][f], r[i])));
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            // NaN sorts last; finite values keep `partial_cmp` order (so
+            // -0.0 and 0.0 tie and the stable sort keeps their row order).
+            sorted.sort_by(|a, b| {
+                a.0.is_nan()
+                    .cmp(&b.0.is_nan())
+                    .then_with(|| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal))
+            });
             let mut left_sum = 0.0;
             for i in 0..sorted.len() - 1 {
                 left_sum += sorted[i].1;
                 let (v, _) = sorted[i];
                 let next_v = sorted[i + 1].0;
-                if next_v <= v {
+                // Not strictly greater also covers a NaN neighbour, so no
+                // threshold sits next to a NaN.
+                if next_v.partial_cmp(&v) != Some(Ordering::Greater) {
                     continue;
                 }
                 let nl = (i + 1) as f64;
@@ -291,6 +301,19 @@ mod tests {
             g.decision(&x[0])
         };
         assert_eq!(fit(), fit());
+    }
+
+    #[test]
+    fn nan_features_fit_without_panicking_and_thresholds_stay_finite() {
+        let (mut x, y) = rings(40, 6);
+        x[5][0] = f64::NAN;
+        let mut g = Gbdt::new(GbdtConfig { rounds: 10, min_leaf: 2, ..Default::default() });
+        g.fit(&x, &y, 2);
+        for tree in g.trees.iter().flatten() {
+            let thresholds = crate::flat::numbers(&tree.tree.to_value(), "threshold").unwrap();
+            assert!(thresholds.iter().all(|t| t.is_finite()), "{thresholds:?}");
+        }
+        assert!(g.decision(&x[5]).iter().all(|d| d.is_finite()));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Typed metrics: counters, gauges, log-bucketed histograms, and the
 //! thread-safe [`Registry`] that names them.
 //!
-//! Handles returned by the registry are cheap `Arc`-backed atomics — clone
-//! them once at setup (or cache them in a `OnceLock`) and the hot path is a
-//! single `fetch_add`. Registration itself takes a mutex and should stay off
-//! hot paths.
+//! Handles returned by the registry are cheap `Arc`-backed atomics — look
+//! them up once (the [`counter!`](crate::counter!) family caches them per
+//! call site) and the hot path is a single `fetch_add`. A lookup takes a
+//! mutex and should stay off hot paths.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -256,7 +256,6 @@ pub struct Snapshot {
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
     kind_conflicts: Counter,
-    pub(crate) spans: crate::span::SpanCollector,
 }
 
 impl Registry {
@@ -267,47 +266,47 @@ impl Registry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.metrics.lock().expect("metrics mutex");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => {
-                self.kind_conflicts.inc();
-                Counter::default()
-            }
-        }
+        self.get_or_create(name, Metric::Counter, |m| match m {
+            Metric::Counter(c) => Some(c.clone()),
+            _ => None,
+        })
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock().expect("metrics mutex");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => {
-                self.kind_conflicts.inc();
-                Gauge::default()
-            }
-        }
+        self.get_or_create(name, Metric::Gauge, |m| match m {
+            Metric::Gauge(g) => Some(g.clone()),
+            _ => None,
+        })
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
+        self.get_or_create(name, Metric::Histogram, |m| match m {
+            Metric::Histogram(h) => Some(h.clone()),
+            _ => None,
+        })
+    }
+
+    /// The handle stored under `name`, looked up by `&str` so an existing
+    /// name allocates nothing; the key is allocated only on insert. A name
+    /// held by another kind yields a detached handle.
+    fn get_or_create<T: Clone + Default>(
+        &self,
+        name: &str,
+        wrap: fn(T) -> Metric,
+        unwrap: fn(&Metric) -> Option<T>,
+    ) -> T {
         let mut metrics = self.metrics.lock().expect("metrics mutex");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => {
+        if let Some(metric) = metrics.get(name) {
+            return unwrap(metric).unwrap_or_else(|| {
                 self.kind_conflicts.inc();
-                Histogram::default()
-            }
+                T::default()
+            });
         }
+        let handle = T::default();
+        metrics.insert(name.to_string(), wrap(handle.clone()));
+        handle
     }
 
     /// Kind-mismatch registrations served with detached handles so far.
@@ -333,18 +332,6 @@ impl Registry {
             }
         }
         snap
-    }
-
-    /// Spans finished against this registry's collector (for the global
-    /// registry: every span the process recorded, up to the collector cap).
-    pub fn finished_spans(&self) -> Vec<crate::span::FinishedSpan> {
-        self.spans.snapshot()
-    }
-
-    /// Finished spans dropped because the collector cap was reached (their
-    /// durations still land in the `span.<name>` histograms).
-    pub fn dropped_spans(&self) -> u64 {
-        self.spans.dropped()
     }
 }
 

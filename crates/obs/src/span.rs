@@ -1,179 +1,42 @@
-//! RAII span timers with per-thread parent/child nesting.
+//! Scope timers.
 //!
-//! `SpanGuard::enter("stage.name")` (or the [`span!`](crate::span!) macro)
-//! opens a span; dropping the guard closes it. Closing records two things in
-//! the [global registry](crate::global):
-//!
-//! * a `span.<name>` duration histogram observation (always — cheap, and
-//!   unbounded in span count), and
-//! * a [`FinishedSpan`] node in the trace-tree collector (up to a cap, so a
-//!   million-session run cannot hoard memory; overflow is counted).
-//!
-//! Nesting is tracked per thread with a thread-local stack: a span opened
-//! while another is open on the same thread becomes its child, and its
-//! `path` is the `/`-joined chain of ancestor names. Spans opened on worker
-//! threads (e.g. corpus builders) have no parent and appear as roots.
+//! A [`SpanGuard`] observes its own lifetime, in seconds, into one
+//! `span.<name>` histogram when it drops. [`span!`](crate::span!) hands it
+//! the call site's cached histogram, so opening and closing a span is two
+//! clock reads and one histogram update: no allocation, no lock, no
+//! thread-local state. Spans record durations only; they do not nest.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::borrow::Cow;
 use std::time::Instant;
 
-/// A closed span, as kept by the trace-tree collector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FinishedSpan {
-    /// Unique id (process-wide, allocation order).
-    pub id: u64,
-    /// Parent span id, when one was open on the same thread.
-    pub parent: Option<u64>,
-    /// The span's own name (`stage.metric_name` convention).
-    pub name: String,
-    /// `/`-joined ancestor names ending in `name` (e.g.
-    /// `pipeline/extract/extract.tls`).
-    pub path: String,
-    /// Nesting depth (roots are 0).
-    pub depth: usize,
-    /// Start time, seconds since the process's first span.
-    pub start_s: f64,
-    /// Wall-clock duration, seconds.
-    pub duration_s: f64,
-}
+use crate::Histogram;
 
-/// Default cap on retained [`FinishedSpan`]s.
-const DEFAULT_SPAN_CAP: usize = 16_384;
-
-/// Bounded store of finished spans.
-#[derive(Debug)]
-pub(crate) struct SpanCollector {
-    finished: Mutex<Vec<FinishedSpan>>,
-    dropped: AtomicU64,
-    cap: usize,
-}
-
-impl Default for SpanCollector {
-    fn default() -> Self {
-        Self {
-            finished: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            cap: DEFAULT_SPAN_CAP,
-        }
-    }
-}
-
-impl SpanCollector {
-    fn push(&self, span: FinishedSpan) {
-        let mut finished = self.finished.lock().expect("span mutex");
-        if finished.len() >= self.cap {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        finished.push(span);
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<FinishedSpan> {
-        self.finished.lock().expect("span mutex").clone()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// Process epoch for span start offsets.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn next_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-thread_local! {
-    /// Open spans on this thread: `(id, name)` innermost-last.
-    static STACK: RefCell<Vec<(u64, String)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// An open span; closes (and records) on drop.
+/// An open span; observes its duration on drop.
 #[derive(Debug)]
 #[must_use = "a span measures the scope holding its guard; bind it with `let _guard = ...`"]
 pub struct SpanGuard {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    path: String,
-    depth: usize,
+    histogram: Cow<'static, Histogram>,
     started: Instant,
-    start_s: f64,
 }
 
 impl SpanGuard {
-    /// Open a span named `name` as a child of the innermost open span on
-    /// this thread.
+    /// Start timing into `histogram` (what [`span!`](crate::span!) calls).
+    pub fn new(histogram: &'static Histogram) -> Self {
+        Self { histogram: Cow::Borrowed(histogram), started: Instant::now() }
+    }
+
+    /// Start timing into the global `span.<name>` histogram, for a name
+    /// known only at run time. Costs one registry lookup per span; use
+    /// [`span!`](crate::span!) for a literal name.
     pub fn enter(name: &str) -> Self {
-        let start_s = epoch().elapsed().as_secs_f64();
-        let id = next_id();
-        let (parent, path, depth) = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack.last().map(|(pid, _)| *pid);
-            let depth = stack.len();
-            let mut path = String::new();
-            for (_, ancestor) in stack.iter() {
-                path.push_str(ancestor);
-                path.push('/');
-            }
-            path.push_str(name);
-            stack.push((id, name.to_string()));
-            (parent, path, depth)
-        });
-        Self {
-            id,
-            parent,
-            name: name.to_string(),
-            path,
-            depth,
-            started: Instant::now(),
-            start_s,
-        }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Seconds elapsed since the span opened (it stays open).
-    pub fn elapsed_s(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
+        let histogram = crate::global().histogram(&format!("span.{name}"));
+        Self { histogram: Cow::Owned(histogram), started: Instant::now() }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let duration_s = self.started.elapsed().as_secs_f64();
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards normally drop innermost-first; if a guard escaped its
-            // scope order, remove it wherever it sits rather than corrupting
-            // the stack.
-            if let Some(pos) = stack.iter().rposition(|(id, _)| *id == self.id) {
-                stack.remove(pos);
-            }
-        });
-        let registry = crate::global();
-        registry
-            .histogram(&format!("span.{}", self.name))
-            .observe(duration_s);
-        registry.spans.push(FinishedSpan {
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            path: std::mem::take(&mut self.path),
-            depth: self.depth,
-            start_s: self.start_s,
-            duration_s,
-        });
+        self.histogram.observe(self.started.elapsed().as_secs_f64());
     }
 }
 
@@ -181,77 +44,23 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
-    /// Finished spans whose root name starts with `prefix` (test isolation:
-    /// the collector is global and tests run in parallel).
-    fn collected(prefix: &str) -> Vec<FinishedSpan> {
-        crate::global()
-            .finished_spans()
-            .into_iter()
-            .filter(|s| s.path.starts_with(prefix))
-            .collect()
-    }
-
     #[test]
-    fn nesting_records_parent_child_and_paths() {
+    fn span_macro_observes_on_drop() {
+        let h = crate::global().histogram("span.spantest_a.timed");
+        let before = h.count();
         {
-            let _outer = SpanGuard::enter("spantest_a.outer");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _inner = SpanGuard::enter("spantest_a.inner");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+            let _guard = crate::span!("spantest_a.timed");
+            assert_eq!(h.count(), before, "nothing recorded while open");
         }
-        let spans = collected("spantest_a.");
-        assert_eq!(spans.len(), 2);
-        let outer = spans.iter().find(|s| s.name == "spantest_a.outer").unwrap();
-        let inner = spans.iter().find(|s| s.name == "spantest_a.inner").unwrap();
-        assert_eq!(inner.parent, Some(outer.id));
-        assert_eq!(inner.path, "spantest_a.outer/spantest_a.inner");
-        assert_eq!(outer.depth, 0);
-        assert_eq!(inner.depth, 1);
-        // Timing monotonicity: the child starts no earlier than the parent
-        // and fits inside it; both durations are nonzero.
-        assert!(inner.start_s >= outer.start_s);
-        assert!(inner.duration_s > 0.0 && outer.duration_s > 0.0);
-        assert!(outer.duration_s >= inner.duration_s);
-    }
-
-    #[test]
-    fn sibling_threads_do_not_nest() {
-        let handle = {
-            let _outer = SpanGuard::enter("spantest_b.main");
-            std::thread::spawn(|| {
-                let _worker = SpanGuard::enter("spantest_b.worker");
-            })
-        };
-        handle.join().unwrap();
-        let spans = collected("spantest_b.");
-        let worker = spans.iter().find(|s| s.name == "spantest_b.worker").unwrap();
-        assert_eq!(worker.parent, None, "cross-thread spans are roots");
-        assert_eq!(worker.depth, 0);
-    }
-
-    #[test]
-    fn span_macro_and_histogram_side_channel() {
-        {
-            let guard = crate::span!("spantest_c.timed");
-            assert_eq!(guard.name(), "spantest_c.timed");
-            assert!(guard.elapsed_s() >= 0.0);
-        }
-        let h = crate::global().histogram("span.spantest_c.timed");
-        assert!(h.count() >= 1);
+        assert_eq!(h.count(), before + 1);
         assert!(h.snapshot().min >= 0.0);
     }
 
     #[test]
-    fn out_of_order_drop_keeps_stack_consistent() {
-        let a = SpanGuard::enter("spantest_d.a");
-        let b = SpanGuard::enter("spantest_d.b");
-        drop(a); // wrong order on purpose
-        let c = SpanGuard::enter("spantest_d.c");
-        assert_eq!(c.parent, Some(b.id), "b is still the innermost open span");
-        drop(c);
-        drop(b);
-        assert_eq!(collected("spantest_d.").len(), 3);
+    fn enter_records_under_a_runtime_name() {
+        let name = format!("spantest_b.{}", 7);
+        drop(SpanGuard::enter(&name));
+        drop(SpanGuard::enter(&name));
+        assert_eq!(crate::global().histogram("span.spantest_b.7").count(), 2);
     }
 }

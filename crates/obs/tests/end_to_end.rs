@@ -1,67 +1,54 @@
-//! End-to-end: spans + metrics recorded against the global registry export
-//! to a coherent trace tree and JSON document.
+//! End-to-end: the call-site-cached macros record into the global registry,
+//! share storage with registry lookups, and stay exact across `dtp-par`
+//! workers.
 
-use dtp_obs::{global, registry::Registry, render_tree, span_tree_json};
+use dtp_obs::{global, registry::Registry};
 
 #[test]
-fn pipeline_shaped_run_exports_tree_and_json() {
-    // A miniature pipeline: nested stage spans plus counters.
-    {
-        let _pipeline = dtp_obs::span!("e2e_pipeline");
-        {
-            let _g = dtp_obs::span!("e2e_generate");
-            global().counter("e2e.generate.traces").add(10);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        {
-            let _e = dtp_obs::span!("e2e_extract");
-            for _ in 0..3 {
-                let _tls = dtp_obs::span!("e2e_extract.tls");
-                global().counter("e2e.extract.tls_records").add(20);
-            }
-        }
+fn macro_call_sites_share_storage_with_the_registry() {
+    dtp_obs::counter!("e2e.shared").add(2);
+    for _ in 0..3 {
+        dtp_obs::counter!("e2e.shared").inc();
     }
+    global().counter("e2e.shared").add(10);
+    assert_eq!(dtp_obs::counter!("e2e.shared").get(), 15);
+    assert_eq!(global().snapshot().counters["e2e.shared"], 15);
 
-    let spans: Vec<_> = global()
-        .finished_spans()
-        .into_iter()
-        .filter(|s| s.path.starts_with("e2e_pipeline"))
-        .collect();
-    assert_eq!(spans.len(), 6, "1 pipeline + 1 generate + 1 extract + 3 tls");
+    dtp_obs::gauge!("e2e.level").set(2.5);
+    assert_eq!(global().gauge("e2e.level").get(), 2.5);
+    dtp_obs::histogram!("e2e.sizes").observe(4.0);
+    assert_eq!(global().histogram("e2e.sizes").count(), 1);
+}
 
-    // Every stage appears in the rendered tree with a nonzero duration.
-    let tree = render_tree(&spans);
-    for stage in ["e2e_pipeline", "e2e_generate", "e2e_extract", "e2e_extract.tls"] {
-        assert!(tree.contains(stage), "{stage} missing from tree:\n{tree}");
+#[test]
+fn spans_on_par_workers_land_in_one_histogram() {
+    for (threads, n) in [(1, 37), (4, 211)] {
+        let before = global().histogram("span.e2e.worker").count();
+        let ids = dtp_par::with_threads(threads, || {
+            dtp_par::par_map_index("e2e.spans", n, |i| {
+                let _span = dtp_obs::span!("e2e.worker");
+                i
+            })
+        });
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        let after = global().histogram("span.e2e.worker").snapshot();
+        assert_eq!(after.count - before, n as u64, "at {threads} threads");
+        assert_eq!(after.rejected, 0);
+        assert!(after.min >= 0.0);
     }
-    assert!(tree.contains("3x"), "the three tls spans aggregate: \n{tree}");
+}
 
-    // Durations are positive and nested spans fit inside their parents.
-    let pipeline = spans.iter().find(|s| s.name == "e2e_pipeline").unwrap();
-    assert!(pipeline.duration_s > 0.0);
-    for s in &spans {
-        assert!(s.duration_s >= 0.0);
-        assert!(s.duration_s <= pipeline.duration_s + 1e-9);
-    }
-
-    // JSON view parses back and carries the same aggregate count.
-    let json = span_tree_json(&spans);
-    let parsed: serde_json::Value = serde_json::from_str(&json.to_string()).unwrap();
-    let rows = parsed.as_array().unwrap();
-    assert_eq!(rows.len(), 4, "4 aggregated paths");
-    let tls = rows
-        .iter()
-        .map(|r| r.as_object().unwrap())
-        .find(|r| r.get("name").unwrap().as_str() == Some("e2e_extract.tls"))
-        .unwrap();
-    assert_eq!(tls.get("count").unwrap().as_f64().unwrap(), 3.0);
-
-    // The span-duration histograms recorded alongside the tree.
-    assert!(global().histogram("span.e2e_extract.tls").count() >= 3);
-
-    // Counters summed across the run.
+#[test]
+fn a_macro_asking_for_another_kind_gets_a_detached_handle() {
+    global().counter("e2e.kind");
+    let conflicts = global().kind_conflicts();
+    let detached = dtp_obs::histogram!("e2e.kind");
+    detached.observe(1.0);
+    assert_eq!(detached.count(), 1, "the detached handle still works");
+    assert_eq!(global().kind_conflicts(), conflicts + 1);
     let snap = global().snapshot();
-    assert_eq!(snap.counters["e2e.extract.tls_records"], 60);
+    assert_eq!(snap.counters["e2e.kind"], 0, "the counter is untouched");
+    assert!(!snap.histograms.contains_key("e2e.kind"));
 }
 
 #[test]

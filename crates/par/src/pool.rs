@@ -27,8 +27,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use dtp_obs::Counter;
-
 /// Upper bound on workers per call, a sanity clamp for absurd env values.
 const MAX_THREADS: usize = 256;
 
@@ -42,28 +40,6 @@ thread_local! {
     /// share: nested calls run serial instead of fanning out a second
     /// level (oversubscription guard).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Cached handles for the `par.*` counters, so a call does no registry
-/// lookup.
-struct ParMetrics {
-    tasks: Counter,
-    steals: Counter,
-    parallel_calls: Counter,
-    serial_calls: Counter,
-}
-
-fn metrics() -> &'static ParMetrics {
-    static METRICS: OnceLock<ParMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = dtp_obs::global();
-        ParMetrics {
-            tasks: reg.counter("par.tasks"),
-            steals: reg.counter("par.steals"),
-            parallel_calls: reg.counter("par.parallel_calls"),
-            serial_calls: reg.counter("par.serial_calls"),
-        }
-    })
 }
 
 /// The worker count a parallel call issued right now would use.
@@ -314,14 +290,12 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let span_name = format!("par.{label}");
-    let _span = dtp_obs::span::SpanGuard::enter(&span_name);
-    let metrics = metrics();
-    metrics.tasks.add(n as u64);
+    let _span = dtp_obs::SpanGuard::enter(&format!("par.{label}"));
+    dtp_obs::counter!("par.tasks").add(n as u64);
 
     let wanted = thread_count().min(n.max(1));
     if wanted <= 1 {
-        metrics.serial_calls.inc();
+        dtp_obs::counter!("par.serial_calls").inc();
         return (0..n).map(f).collect();
     }
     let claim = pool().claim();
@@ -329,10 +303,10 @@ where
     let Some(claim) = claim.filter(|_| threads > 1) else {
         // The pool is owned by another thread's call (or cannot spawn):
         // run serially here, still as a worker so nested calls stay serial.
-        metrics.serial_calls.inc();
+        dtp_obs::counter!("par.serial_calls").inc();
         return as_worker(|| (0..n).map(f).collect());
     };
-    metrics.parallel_calls.inc();
+    dtp_obs::counter!("par.parallel_calls").inc();
 
     // Deal chunks round-robin onto per-worker deques.
     let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
@@ -378,7 +352,7 @@ where
     claim.run(threads, &body);
     drop(claim);
 
-    metrics.steals.add(steals.load(Ordering::Relaxed));
+    dtp_obs::counter!("par.steals").add(steals.load(Ordering::Relaxed));
     out.into_iter()
         .map(|slot| slot.expect("every index in 0..n was chunked to a worker"))
         .collect()

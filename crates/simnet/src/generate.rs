@@ -186,7 +186,7 @@ impl TraceCorpus {
     /// [10 s, 1200 s].
     pub fn paper_mix(n: usize, seed: u64) -> Self {
         let _span = dtp_obs::span!("generate.trace_corpus");
-        dtp_obs::global().counter("generate.traces").add(n as u64);
+        dtp_obs::counter!("generate.traces").add(n as u64);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {

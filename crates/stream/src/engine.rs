@@ -28,39 +28,12 @@
 //! `SessionSplitter → extract_tls_features_batch → QoeEstimator` pipeline.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dtp_core::{QoeCategory, QoeEstimator, SessionIdParams, SessionSplitter};
-use dtp_obs::{Counter, Gauge, Histogram};
 use dtp_telemetry::{sanitize_record, IngestStats, Stopwatch, TlsTransactionRecord};
 
 use crate::tracker::{ClientTracker, ClosedSession, CloseReason};
-
-/// Cached handles for the global `stream.*` metrics, so the per-record
-/// path is an atomic update, not a registry lookup.
-struct StreamMetrics {
-    records: Counter,
-    late: Counter,
-    quarantined: Counter,
-    sessions_open: Gauge,
-    emit_ms: Histogram,
-    sessions_emitted: Counter,
-}
-
-fn metrics() -> &'static StreamMetrics {
-    static METRICS: OnceLock<StreamMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = dtp_obs::global();
-        StreamMetrics {
-            records: reg.counter("stream.records"),
-            late: reg.counter("stream.late"),
-            quarantined: reg.counter("stream.quarantined"),
-            sessions_open: reg.gauge("stream.sessions_open"),
-            emit_ms: reg.histogram("stream.emit_ms"),
-            sessions_emitted: reg.counter("stream.sessions_emitted"),
-        }
-    })
-}
 
 /// Streaming engine configuration. [`Default`] gives the paper's session
 /// parameters, a 3 s reorder window, a 120 s idle timeout, 16 shards, and
@@ -277,8 +250,7 @@ impl StreamEngine {
     /// micro-batch this push completed (usually empty — emission is
     /// batched; see [`StreamConfig::micro_batch`]).
     pub fn push(&mut self, client: &str, rec: TlsTransactionRecord) -> Vec<SessionVerdict> {
-        let obs = metrics();
-        obs.records.inc();
+        dtp_obs::counter!("stream.records").inc();
         self.stats.records_in += 1;
         let rec = match sanitize_record(rec) {
             Ok((rec, validity)) => {
@@ -287,14 +259,14 @@ impl StreamEngine {
             }
             Err(e) => {
                 self.ingest.note_quarantine(&e);
-                obs.quarantined.inc();
+                dtp_obs::counter!("stream.quarantined").inc();
                 return Vec::new();
             }
         };
         if rec.start_s < self.watermark() {
             // Too old to order correctly: past the tolerated disorder.
             self.stats.late_dropped += 1;
-            obs.late.inc();
+            dtp_obs::counter!("stream.late").inc();
             return Vec::new();
         }
         self.stats.accepted += 1;
@@ -384,7 +356,6 @@ impl StreamEngine {
         if self.ready.is_empty() || (!force && self.ready.len() < self.cfg.micro_batch) {
             return Vec::new();
         }
-        let obs = metrics();
         let _span = dtp_obs::span!("stream.emit");
         let sw = Stopwatch::start();
         let mut batch = std::mem::take(&mut self.ready);
@@ -393,8 +364,8 @@ impl StreamEngine {
         // Micro-batch scoring fans out over the dtp-par pool.
         let probas = self.estimator.predict_proba_features_batch(&rows);
         let emit_ms = sw.elapsed_s() * 1e3;
-        obs.emit_ms.observe(emit_ms);
-        obs.sessions_emitted.add(batch.len() as u64);
+        dtp_obs::histogram!("stream.emit_ms").observe(emit_ms);
+        dtp_obs::counter!("stream.sessions_emitted").add(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
         for ((closed, features), probabilities) in batch.into_iter().zip(rows).zip(probas) {
             // First-max argmax: the forest's own predict() convention, so
@@ -433,7 +404,7 @@ impl StreamEngine {
 /// open-session transition.
 fn track_open_delta(before: bool, after: bool) {
     if before != after {
-        metrics().sessions_open.add(if after { 1.0 } else { -1.0 });
+        dtp_obs::gauge!("stream.sessions_open").add(if after { 1.0 } else { -1.0 });
     }
 }
 

@@ -15,40 +15,6 @@
 //! [`IngestStats`] carries the tallies, so a pipeline run can always report
 //! exactly what it ingested and what it refused.
 
-use std::sync::OnceLock;
-
-use dtp_obs::Counter;
-
-/// Cached handles for the global `ingest.*` metrics, so the per-record hot
-/// path is one atomic increment, not a registry lookup.
-struct IngestMetrics {
-    accepted_clean: Counter,
-    repaired: Counter,
-    quarantined: Counter,
-    non_finite_time: Counter,
-    non_finite_bytes: Counter,
-    negative_bytes: Counter,
-    inverted_times: Counter,
-    missing_sni: Counter,
-}
-
-fn metrics() -> &'static IngestMetrics {
-    static METRICS: OnceLock<IngestMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = dtp_obs::global();
-        IngestMetrics {
-            accepted_clean: reg.counter("ingest.accepted_clean"),
-            repaired: reg.counter("ingest.repaired"),
-            quarantined: reg.counter("ingest.quarantined"),
-            non_finite_time: reg.counter("ingest.quarantine.non_finite_time"),
-            non_finite_bytes: reg.counter("ingest.quarantine.non_finite_bytes"),
-            negative_bytes: reg.counter("ingest.quarantine.negative_bytes"),
-            inverted_times: reg.counter("ingest.repair.inverted_times"),
-            missing_sni: reg.counter("ingest.repair.missing_sni"),
-        }
-    })
-}
-
 /// Why a record was quarantined at ingest. Carries the offending values so
 /// logs are actionable.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,42 +139,40 @@ impl IngestStats {
     /// [`dtp_obs::global`] registry, so pipeline-level accounting needs no
     /// manual [`IngestStats::absorb`] plumbing.
     pub fn note_accept(&mut self, validity: Validity) {
-        let m = metrics();
         if validity.is_clean() {
             self.accepted_clean += 1;
-            m.accepted_clean.inc();
+            dtp_obs::counter!("ingest.accepted_clean").inc();
         } else {
             self.repaired += 1;
-            m.repaired.inc();
+            dtp_obs::counter!("ingest.repaired").inc();
         }
         if validity.clamped_negative_duration {
             self.inverted_times += 1;
-            m.inverted_times.inc();
+            dtp_obs::counter!("ingest.repair.inverted_times").inc();
         }
         if validity.missing_sni {
             self.missing_sni += 1;
-            m.missing_sni.inc();
+            dtp_obs::counter!("ingest.repair.missing_sni").inc();
         }
     }
 
     /// Record a quarantine (struct tally + global `ingest.quarantine.*`
     /// registry counter, like [`IngestStats::note_accept`]).
     pub fn note_quarantine(&mut self, err: &IngestError) {
-        let m = metrics();
         self.quarantined += 1;
-        m.quarantined.inc();
+        dtp_obs::counter!("ingest.quarantined").inc();
         match err {
             IngestError::NonFiniteTime { .. } => {
                 self.non_finite_time += 1;
-                m.non_finite_time.inc();
+                dtp_obs::counter!("ingest.quarantine.non_finite_time").inc();
             }
             IngestError::NonFiniteBytes { .. } => {
                 self.non_finite_bytes += 1;
-                m.non_finite_bytes.inc();
+                dtp_obs::counter!("ingest.quarantine.non_finite_bytes").inc();
             }
             IngestError::NegativeBytes { .. } => {
                 self.negative_bytes += 1;
-                m.negative_bytes.inc();
+                dtp_obs::counter!("ingest.quarantine.negative_bytes").inc();
             }
         }
     }

@@ -22,14 +22,12 @@ DTP_THREADS=4 cargo test -q --test stream_vs_batch --test golden_fixtures
 # the session splitter, the dataset builder): an API break fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy -p dtp-obs --all-targets -- -D warnings
-cargo clippy -p dtp-par --all-targets -- -D warnings
 
 # Every table and figure, end to end: stdout must match the pinned transcript
 # byte for byte, serially and on two threads. Re-bless an intended change with:
-#   DTP_LOG=quiet DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all > tests/fixtures/repro_sessions40_seed7.txt
+#   DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all > tests/fixtures/repro_sessions40_seed7.txt
 for threads in 1 2; do
-  DTP_THREADS=$threads DTP_LOG=quiet DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all \
+  DTP_THREADS=$threads DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro all \
     | diff tests/fixtures/repro_sessions40_seed7.txt -
 done
 
