@@ -2,9 +2,12 @@
 //! a missing or unknown experiment name, or a non-numeric `DTP_SESSIONS` or
 //! `DTP_SEED`, ends the process with exit code 2, one `error:` line and the
 //! experiment list — never a panic (exit 101) — before any experiment runs.
+//! Its output is pinned: `robustness` here, every other experiment by the
+//! `dtp-repro all` transcript in `scripts/check.sh`.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use dtp_bench::EXPERIMENTS;
 
@@ -56,6 +59,11 @@ fn malformed_knobs_are_usage_errors() {
     assert_usage_error(&repro(&["all"], &[("DTP_SEED", "seven")]), "DTP_SEED");
 }
 
+fn fixture(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name);
+    std::fs::read_to_string(path).expect("read a pinned transcript")
+}
+
 /// One experiment run by name prints exactly its part of the pinned
 /// `dtp-repro all` transcript.
 #[test]
@@ -64,8 +72,40 @@ fn one_experiment_prints_its_slice_of_the_pinned_transcript() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     assert!(stdout.contains("Figure 3: Bandwidth trace statistics"), "{stdout}");
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/repro_sessions40_seed7.txt");
-    let pinned = std::fs::read_to_string(fixture).expect("read the pinned transcript");
+    let pinned = fixture("repro_sessions40_seed7.txt");
     assert!(pinned.contains(&stdout), "fig3 output is not a slice of the transcript:\n{stdout}");
+}
+
+/// `robustness`, which `all` skips, prints exactly its pinned transcript.
+/// Re-bless an intended change with:
+/// `DTP_SESSIONS=40 DTP_SEED=7 ./target/release/dtp-repro robustness > tests/fixtures/repro_robustness_sessions40_seed7.txt`
+#[test]
+fn robustness_prints_its_pinned_transcript() {
+    let out = repro(&["robustness"], &[("DTP_SESSIONS", "40"), ("DTP_SEED", "7")]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(stdout, fixture("repro_robustness_sessions40_seed7.txt"));
+}
+
+/// A reader that stops after one line (as `head -1` does) ends the run
+/// without a panic report.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dtp-repro"))
+        .arg("all")
+        .env("DTP_SESSIONS", "40")
+        .env("DTP_SEED", "7")
+        .env_remove("DTP_JSON")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("launch dtp-repro");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    let out = child.wait_with_output().expect("wait for dtp-repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }

@@ -4,8 +4,9 @@
 //! ```text
 //! push(client, record)
 //!   └─ sanitize (shared ingest policy)        dtp-telemetry
-//!      └─ shard by FNV-1a(client)             BTreeMap per shard
-//!         └─ ClientTracker                    reorder → detect → accumulate
+//!      └─ advance watermark, expire idle      min-heap of (last activity, client)
+//!         └─ ClientTracker                    one map entry per client:
+//!            │                                reorder → detect → accumulate
 //!            └─ ClosedSession                 finalized feature vector
 //!               └─ micro-batch scoring        QoeEstimator on dtp-par
 //!                  └─ SessionVerdict
@@ -15,29 +16,37 @@
 //! `max(start_s seen) − reorder_window_s`, in *event* time. Records at or
 //! below the watermark are released (no older record can still arrive
 //! within the tolerated disorder); records arriving *under* the watermark
-//! are counted late and dropped. A client idle past
-//! `idle_timeout_s` of event time is flushed and its session emitted with
-//! [`CloseReason::IdleTimeout`].
+//! are counted late and dropped.
 //!
-//! **Determinism.** Sharding is a pure hash, per-shard client maps are
-//! ordered (`BTreeMap`), expiry scans trigger on deterministic record
-//! counts, and scoring order is close order — so the verdict stream is a
-//! pure function of the input sequence, at any `DTP_THREADS`.
-//! `tests/stream_vs_batch.rs` (workspace root) pins the stronger claim:
-//! verdicts are *bitwise equal* to the offline
+//! **Idle expiry.** A client whose newest `start_s` is more than
+//! `idle_timeout_s` under the watermark is flushed with
+//! [`CloseReason::IdleTimeout`]. The check runs on every accepted record,
+//! before the record is offered, and on every `advance_watermark`; so for
+//! an in-order feed a client's session closes by idle exactly where two of
+//! its consecutive starts differ by more than
+//! `idle_timeout_s + reorder_window_s`.
+//!
+//! **Determinism.** No output depends on the client map's iteration order:
+//! expiry pops clients by (last activity, client key), `advance_watermark`
+//! and `finish` walk clients in key order, and scoring order is close
+//! order. So the verdict stream is a pure function of the input sequence,
+//! at any `DTP_THREADS`. `tests/stream_vs_batch.rs` (workspace root) pins
+//! the stronger claim, with expiry off and on: verdicts are *bitwise
+//! equal* to the offline
 //! `SessionSplitter → extract_tls_features_batch → QoeEstimator` pipeline.
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use dtp_core::{QoeCategory, QoeEstimator, SessionIdParams, SessionSplitter};
 use dtp_telemetry::{sanitize_record, IngestStats, Stopwatch, TlsTransactionRecord};
 
-use crate::tracker::{ClientTracker, ClosedSession, CloseReason};
+use crate::tracker::{ClientTracker, CloseReason, ClosedSession};
 
 /// Streaming engine configuration. [`Default`] gives the paper's session
-/// parameters, a 3 s reorder window, a 120 s idle timeout, 16 shards, and
-/// 64-session scoring micro-batches.
+/// parameters, a 3 s reorder window, a 120 s idle timeout, and 64-session
+/// scoring micro-batches.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
     /// Session-boundary heuristic parameters (paper defaults).
@@ -50,13 +59,9 @@ pub struct StreamConfig {
     /// `W` (an expiry inside the look-ahead window could contradict a
     /// pending boundary decision).
     pub idle_timeout_s: f64,
-    /// Client shard count (≥ 1).
-    pub shards: usize,
     /// Score ready sessions once this many are queued (≥ 1); smaller means
     /// lower latency, larger means better `dtp-par` batching.
     pub micro_batch: usize,
-    /// Run the idle-expiry scan every this many accepted records (≥ 1).
-    pub expiry_scan_every: usize,
 }
 
 impl Default for StreamConfig {
@@ -65,9 +70,7 @@ impl Default for StreamConfig {
             session: SessionIdParams::default(),
             reorder_window_s: 3.0,
             idle_timeout_s: 120.0,
-            shards: 16,
             micro_batch: 64,
-            expiry_scan_every: 512,
         }
     }
 }
@@ -79,8 +82,8 @@ pub enum StreamConfigError {
     InvalidReorderWindow,
     /// `idle_timeout_s` must be finite and at least the session window `W`.
     InvalidIdleTimeout,
-    /// `shards`, `micro_batch`, and `expiry_scan_every` must be ≥ 1.
-    ZeroSizedKnob,
+    /// `micro_batch` must be ≥ 1.
+    ZeroMicroBatch,
     /// The session parameters failed [`SessionSplitter::try_new`].
     InvalidSessionParams(dtp_core::SessionIdError),
 }
@@ -92,9 +95,7 @@ impl std::fmt::Display for StreamConfigError {
             Self::InvalidIdleTimeout => {
                 write!(f, "idle timeout must be finite and >= the session window W")
             }
-            Self::ZeroSizedKnob => {
-                write!(f, "shards, micro_batch, and expiry_scan_every must be >= 1")
-            }
+            Self::ZeroMicroBatch => write!(f, "micro_batch must be >= 1"),
             Self::InvalidSessionParams(e) => write!(f, "session params: {e}"),
         }
     }
@@ -107,7 +108,8 @@ impl std::error::Error for StreamConfigError {}
 pub struct SessionVerdict {
     /// The client whose stream produced the session.
     pub client: Arc<str>,
-    /// 0-based per-client session counter.
+    /// 0-based per-client session counter. It restarts at 0 when a client
+    /// returns after idle expiry.
     pub ordinal: usize,
     /// First transaction start, seconds (event time).
     pub start_s: f64,
@@ -154,7 +156,11 @@ pub struct EngineStats {
 pub struct StreamEngine {
     cfg: StreamConfig,
     estimator: QoeEstimator,
-    shards: Vec<BTreeMap<Arc<str>, ClientTracker>>,
+    clients: HashMap<Arc<str>, ClientTracker>,
+    /// One entry per live tracker, pushed when the tracker is created. An
+    /// entry's time may be older than its client's last activity (it is
+    /// refreshed when popped), never newer.
+    idle: BinaryHeap<Reverse<LastActivity>>,
     ready: Vec<ClosedSession>,
     ingest: IngestStats,
     stats: EngineStats,
@@ -186,11 +192,12 @@ impl StreamEngine {
         if !cfg.idle_timeout_s.is_finite() || cfg.idle_timeout_s < cfg.session.window_s {
             return Err(StreamConfigError::InvalidIdleTimeout);
         }
-        if cfg.shards == 0 || cfg.micro_batch == 0 || cfg.expiry_scan_every == 0 {
-            return Err(StreamConfigError::ZeroSizedKnob);
+        if cfg.micro_batch == 0 {
+            return Err(StreamConfigError::ZeroMicroBatch);
         }
         Ok(Self {
-            shards: (0..cfg.shards).map(|_| BTreeMap::new()).collect(),
+            clients: HashMap::new(),
+            idle: BinaryHeap::new(),
             cfg,
             estimator,
             ready: Vec::new(),
@@ -198,16 +205,6 @@ impl StreamEngine {
             stats: EngineStats::default(),
             max_event_s: f64::NEG_INFINITY,
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.cfg
-    }
-
-    /// The deployed model.
-    pub fn estimator(&self) -> &QoeEstimator {
-        &self.estimator
     }
 
     /// Engine tallies so far.
@@ -229,21 +226,12 @@ impl StreamEngine {
 
     /// Clients with a currently open session.
     pub fn open_sessions(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .filter(|t| t.has_open_session())
-            .count()
+        self.clients.values().filter(|t| t.has_open_session()).count()
     }
 
     /// Records buffered across all trackers (reorder + look-ahead).
     pub fn buffered_records(&self) -> usize {
-        self.shards.iter().flat_map(|s| s.values()).map(|t| t.buffered()).sum()
-    }
-
-    /// Sessions finalized but not yet scored (awaiting a micro-batch).
-    pub fn ready_sessions(&self) -> usize {
-        self.ready.len()
+        self.clients.values().map(|t| t.buffered()).sum()
     }
 
     /// Offer one record from `client`. Returns any verdicts whose
@@ -271,40 +259,37 @@ impl StreamEngine {
         }
         self.stats.accepted += 1;
         self.max_event_s = self.max_event_s.max(rec.start_s);
+        self.expire_idle();
         let watermark = self.watermark();
 
-        let shard = &mut self.shards[fnv1a(client.as_bytes()) as usize % self.cfg.shards];
-        if !shard.contains_key(client) {
+        if !self.clients.contains_key(client) {
             // First record from this client: the only key allocation.
             let key: Arc<str> = Arc::from(client);
-            shard.insert(Arc::clone(&key), ClientTracker::new(key, self.cfg.session));
+            self.idle.push(Reverse(LastActivity(rec.start_s, Arc::clone(&key))));
+            self.clients.insert(Arc::clone(&key), ClientTracker::new(key, self.cfg.session));
         }
-        let tracker = shard.get_mut(client).expect("tracker inserted above");
+        let tracker = self.clients.get_mut(client).expect("tracker inserted above");
         let open_before = tracker.has_open_session();
         tracker.offer(rec);
         tracker.drain(watermark, &mut self.ready);
         track_open_delta(open_before, tracker.has_open_session());
-
-        if self.stats.accepted.is_multiple_of(self.cfg.expiry_scan_every) {
-            self.expire_idle();
-        }
         self.score_ready(false)
     }
 
     /// Advance event time without a record (e.g. a periodic tick from the
-    /// capture clock), releasing reorder buffers and expiring idle
-    /// clients. Returns any verdicts that became ready.
+    /// capture clock), expiring idle clients and releasing reorder buffers.
+    /// Returns any verdicts that became ready.
     pub fn advance_watermark(&mut self, event_time_s: f64) -> Vec<SessionVerdict> {
         self.max_event_s = self.max_event_s.max(event_time_s);
-        let watermark = self.watermark();
-        for shard in &mut self.shards {
-            for tracker in shard.values_mut() {
-                let before = tracker.has_open_session();
-                tracker.drain(watermark, &mut self.ready);
-                track_open_delta(before, tracker.has_open_session());
-            }
-        }
         self.expire_idle();
+        let watermark = self.watermark();
+        let mut trackers: Vec<_> = self.clients.iter_mut().collect();
+        trackers.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (_, tracker) in trackers {
+            let before = tracker.has_open_session();
+            tracker.drain(watermark, &mut self.ready);
+            track_open_delta(before, tracker.has_open_session());
+        }
         self.score_ready(false)
     }
 
@@ -312,40 +297,35 @@ impl StreamEngine {
     /// remaining verdicts. The engine is reusable afterwards (watermark
     /// and per-client state reset; cumulative stats are kept).
     pub fn finish(&mut self) -> Vec<SessionVerdict> {
-        for shard in &mut self.shards {
-            for (_, mut tracker) in std::mem::take(shard) {
-                let before = tracker.has_open_session();
-                tracker.flush(CloseReason::Flush, &mut self.ready);
-                track_open_delta(before, false);
-            }
+        let mut trackers: Vec<_> = self.clients.drain().collect();
+        trackers.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (_, mut tracker) in trackers {
+            let before = tracker.has_open_session();
+            tracker.flush(CloseReason::Flush, &mut self.ready);
+            track_open_delta(before, false);
         }
+        self.idle.clear();
         self.max_event_s = f64::NEG_INFINITY;
         self.score_ready(true)
     }
 
-    /// Flush clients whose last activity is more than the idle timeout
-    /// under the watermark. Deterministic scan order: shard index, then
-    /// client key.
+    /// Flush every client whose last activity is more than the idle
+    /// timeout under the watermark, earliest first (ties by client key). A
+    /// popped entry whose client has been active since goes back in at
+    /// that client's real last activity.
     fn expire_idle(&mut self) {
         let watermark = self.watermark();
-        if !watermark.is_finite() {
-            return;
-        }
-        for shard in &mut self.shards {
-            let expired: Vec<Arc<str>> = shard
-                .iter()
-                .filter(|(_, t)| {
-                    !t.is_idle_empty()
-                        && watermark - t.last_event_s() > self.cfg.idle_timeout_s
-                })
-                .map(|(c, _)| Arc::clone(c))
-                .collect();
-            for client in expired {
-                if let Some(mut tracker) = shard.remove(&client) {
-                    let before = tracker.has_open_session();
-                    tracker.flush(CloseReason::IdleTimeout, &mut self.ready);
-                    track_open_delta(before, false);
-                }
+        let timeout = self.cfg.idle_timeout_s;
+        while self.idle.peek().is_some_and(|Reverse(due)| watermark - due.0 > timeout) {
+            let Reverse(LastActivity(_, client)) = self.idle.pop().expect("peeked");
+            let last = self.clients[&client].last_event_s();
+            if watermark - last > timeout {
+                let mut tracker = self.clients.remove(&client).expect("entry of a live tracker");
+                let before = tracker.has_open_session();
+                tracker.flush(CloseReason::IdleTimeout, &mut self.ready);
+                track_open_delta(before, false);
+            } else {
+                self.idle.push(Reverse(LastActivity(last, client)));
             }
         }
     }
@@ -408,15 +388,30 @@ fn track_open_delta(before: bool, after: bool) {
     }
 }
 
-/// FNV-1a over the client key — the stable shard hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// An idle-heap entry: a client and its last activity (event time), ordered
+/// by time, then client key.
+#[derive(Debug)]
+struct LastActivity(f64, Arc<str>);
+
+impl Ord for LastActivity {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then_with(|| self.1.cmp(&other.1))
     }
-    h
 }
+
+impl PartialOrd for LastActivity {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for LastActivity {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for LastActivity {}
 
 #[cfg(test)]
 mod tests {
@@ -452,13 +447,10 @@ mod tests {
         ));
         let est = QoeEstimator::train(&corpus, QoeMetricKind::Combined, 0);
         let bad = StreamConfig { idle_timeout_s: 1.0, ..Default::default() };
-        assert!(matches!(
-            StreamEngine::new(est, bad),
-            Err(StreamConfigError::InvalidIdleTimeout)
-        ));
+        assert!(matches!(StreamEngine::new(est, bad), Err(StreamConfigError::InvalidIdleTimeout)));
         let est = QoeEstimator::train(&corpus, QoeMetricKind::Combined, 0);
-        let bad = StreamConfig { shards: 0, ..Default::default() };
-        assert!(matches!(StreamEngine::new(est, bad), Err(StreamConfigError::ZeroSizedKnob)));
+        let bad = StreamConfig { micro_batch: 0, ..Default::default() };
+        assert!(matches!(StreamEngine::new(est, bad), Err(StreamConfigError::ZeroMicroBatch)));
     }
 
     #[test]
@@ -528,12 +520,7 @@ mod tests {
 
     #[test]
     fn idle_timeout_expires_quiet_clients() {
-        let cfg = StreamConfig {
-            idle_timeout_s: 30.0,
-            expiry_scan_every: 1,
-            micro_batch: 1,
-            ..Default::default()
-        };
+        let cfg = StreamConfig { idle_timeout_s: 30.0, micro_batch: 1, ..Default::default() };
         let mut eng = engine(cfg);
         let mut verdicts = Vec::new();
         verdicts.extend(eng.push("quiet", tx(0.0, "a")));
@@ -553,11 +540,7 @@ mod tests {
 
     #[test]
     fn advance_watermark_drives_emission_without_records() {
-        let cfg = StreamConfig {
-            idle_timeout_s: 20.0,
-            micro_batch: 1,
-            ..Default::default()
-        };
+        let cfg = StreamConfig { idle_timeout_s: 20.0, micro_batch: 1, ..Default::default() };
         let mut eng = engine(cfg);
         assert!(eng.push("c", tx(0.0, "a")).is_empty());
         assert!(eng.push("c", tx(1.0, "b")).is_empty());
@@ -573,7 +556,6 @@ mod tests {
         let cfg = StreamConfig {
             micro_batch: 4,
             idle_timeout_s: 5.0,
-            expiry_scan_every: 1,
             reorder_window_s: 0.5,
             ..Default::default()
         };

@@ -7,7 +7,7 @@
 //! records, without ever materializing the capture.
 //!
 //! [`StreamEngine`] accepts records one at a time — out of order within a
-//! configurable reorder window — shards them across per-client
+//! configurable reorder window — routes them to per-client
 //! [`ClientTracker`]s, runs the paper's session-boundary heuristic
 //! incrementally, maintains the 38 TLS features with streaming
 //! accumulators ([`dtp_features::TlsSessionAccumulator`]), and emits a
@@ -16,8 +16,9 @@
 //!
 //! The headline guarantee: for any in-order replay, the emitted session
 //! boundaries, feature vectors, and predictions are **bitwise equal** to
-//! the batch pipeline's, at any thread count. It holds by construction —
-//! the batch splitter and extractor are the same
+//! the batch pipeline's, at any thread count — with idle expiry on, once
+//! the batch side cuts each client's records at its idle gaps. It holds
+//! by construction — the batch splitter and extractor are the same
 //! [`IncrementalSessionDetector`](dtp_core::IncrementalSessionDetector) and
 //! accumulator run to completion — and the workspace's differential suite
 //! (`tests/stream_vs_batch.rs`) guards it against regressions.

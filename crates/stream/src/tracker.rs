@@ -100,11 +100,6 @@ impl ClientTracker {
         }
     }
 
-    /// The client key.
-    pub fn client(&self) -> &Arc<str> {
-        &self.client
-    }
-
     /// Event time of this client's newest accepted record.
     pub fn last_event_s(&self) -> f64 {
         self.last_event_s
@@ -118,11 +113,6 @@ impl ClientTracker {
     /// Records buffered (reorder buffer + detector look-ahead).
     pub fn buffered(&self) -> usize {
         self.reorder.len() + self.detector.pending_len()
-    }
-
-    /// True when the tracker holds no state at all.
-    pub fn is_idle_empty(&self) -> bool {
-        self.open.is_none() && self.buffered() == 0
     }
 
     /// Accept one (already sanitized) record into the reorder buffer.
@@ -143,14 +133,8 @@ impl ClientTracker {
     /// closed sessions to `closed`.
     pub fn drain(&mut self, watermark: f64, closed: &mut Vec<ClosedSession>) {
         self.decided.clear();
-        while let Some(front) = self.reorder.front() {
-            if front.start_s > watermark {
-                break;
-            }
-            let rec = self.reorder.pop_front().expect("front exists");
-            let mut decided = std::mem::take(&mut self.decided);
-            self.detector.push(rec, &mut decided);
-            self.decided = decided;
+        while let Some(rec) = self.reorder.pop_front_if(|r| r.start_s <= watermark) {
+            self.detector.push(rec, &mut self.decided);
         }
         let mut decided = std::mem::take(&mut self.decided);
         for (rec, is_new) in &decided {
@@ -168,9 +152,7 @@ impl ClientTracker {
         // watermark: nothing older can arrive once the client is expired or
         // the engine is finishing.
         while let Some(rec) = self.reorder.pop_front() {
-            let mut decided = std::mem::take(&mut self.decided);
-            self.detector.push(rec, &mut decided);
-            self.decided = decided;
+            self.detector.push(rec, &mut self.decided);
         }
         let mut decided = std::mem::take(&mut self.decided);
         decided.extend(self.detector.finish());
@@ -265,7 +247,7 @@ mod tests {
         assert_eq!(closed[1].reason, CloseReason::Flush);
         assert_eq!(closed[1].transactions, 3);
         assert_eq!(closed[1].ordinal, 1);
-        assert!(t.is_idle_empty());
+        assert!(!t.has_open_session() && t.buffered() == 0);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Property tests for the streaming engine's ordering guarantees.
+//! Property tests for the streaming engine's ordering guarantees and its
+//! conduct under hostile input.
 //!
-//! The contract under test: any arrival-order perturbation that stays
+//! The ordering contract: any arrival-order perturbation that stays
 //! within the reorder window — and never reorders equal-start records —
 //! produces exactly the same verdict stream as the in-order replay,
 //! because the reorder buffer restores sorted order before anything
 //! reaches the detector or the accumulators.
+//!
+//! The robustness contract: no feed, however malformed or disordered,
+//! panics the engine under any configuration corner, and every record is
+//! accounted for exactly once.
 
 use std::sync::Arc;
 
-use dtp_core::{DatasetBuilder, QoeEstimator, QoeMetricKind, ServiceId};
+use dtp_core::{DatasetBuilder, QoeEstimator, QoeMetricKind, ServiceId, SessionIdParams};
 use dtp_stream::{SessionVerdict, StreamConfig, StreamEngine};
 use dtp_telemetry::TlsTransactionRecord;
 use proptest::prelude::*;
@@ -101,6 +106,53 @@ fn replay(records: &[TlsTransactionRecord], window_s: f64) -> Vec<SessionVerdict
     out
 }
 
+/// A value drawn from one of several hostile regimes: NaN, infinite,
+/// negative, huge, or (most often) `fallback`.
+fn hostile(kind: u8, fallback: f64) -> f64 {
+    match kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => -fallback.abs() - 1.0,
+        3 => 1e300,
+        _ => fallback,
+    }
+}
+
+/// Multi-client feeds of arbitrary records: event time wanders forward and
+/// back, and starts, ends and byte counts are sometimes NaN, infinite,
+/// negative or huge.
+fn arb_hostile_feed() -> impl Strategy<Value = Vec<(u8, TlsTransactionRecord)>> {
+    proptest::collection::vec(
+        (
+            0u8..4,
+            -10.0f64..25.0,
+            0.0f64..90.0,
+            0.0f64..1e7,
+            (0u8..60, 0u8..24, 0u8..24, 0u8..24),
+            0u8..6,
+        ),
+        1..150,
+    )
+    .prop_map(|steps| {
+        let mut t = 0.0f64;
+        steps
+            .into_iter()
+            .map(|(client, step, dur, bytes, (start_kind, end_kind, up_kind, down_kind), sni)| {
+                t += step;
+                let start_s = hostile(start_kind, t);
+                let rec = TlsTransactionRecord {
+                    start_s,
+                    end_s: hostile(end_kind, start_s + dur),
+                    up_bytes: hostile(up_kind, bytes / 50.0),
+                    down_bytes: hostile(down_kind, bytes),
+                    sni: Arc::from(format!("server-{sni}")),
+                };
+                (client, rec)
+            })
+            .collect()
+    })
+}
+
 proptest! {
     /// Within-window shuffles never change the emitted verdict stream.
     #[test]
@@ -129,6 +181,50 @@ proptest! {
                 x.probabilities.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                 y.probabilities.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// Hostile feeds never panic the engine, under each configuration
+    /// corner: every record is accepted, dropped late or quarantined;
+    /// after `finish` the verdicts hold exactly the accepted records; and
+    /// every feature and probability is finite.
+    #[test]
+    fn hostile_feeds_are_accounted_for_and_never_panic(
+        feed in arb_hostile_feed(),
+        tick_kind in 0u8..6,
+    ) {
+        let window_s = SessionIdParams::default().window_s;
+        let corners = [
+            StreamConfig { micro_batch: 1, ..StreamConfig::default() },
+            StreamConfig { reorder_window_s: 0.0, ..StreamConfig::default() },
+            StreamConfig { idle_timeout_s: window_s, ..StreamConfig::default() },
+            StreamConfig { idle_timeout_s: f64::MAX, ..StreamConfig::default() },
+        ];
+        for cfg in corners {
+            let mut eng = StreamEngine::new(estimator(), cfg).expect("valid config");
+            let mut verdicts = Vec::new();
+            for (k, (client, rec)) in feed.iter().enumerate() {
+                if k == feed.len() / 2 {
+                    verdicts.extend(eng.advance_watermark(hostile(tick_kind, rec.start_s)));
+                }
+                verdicts.extend(eng.push(&format!("c{client}"), rec.clone()));
+            }
+            verdicts.extend(eng.finish());
+            let s = *eng.stats();
+            prop_assert_eq!(s.records_in, feed.len());
+            prop_assert_eq!(
+                s.records_in,
+                s.accepted + s.late_dropped + eng.ingest_stats().quarantined,
+                "{:?}",
+                cfg
+            );
+            let emitted: usize = verdicts.iter().map(|v| v.transactions).sum();
+            prop_assert_eq!(emitted, s.accepted, "{:?}", cfg);
+            prop_assert_eq!(verdicts.len(), s.sessions_emitted);
+            for v in &verdicts {
+                prop_assert!(v.features.iter().all(|x| x.is_finite()), "{:?}", v.features);
+                prop_assert!(v.probabilities.iter().all(|p| p.is_finite()), "{:?}", v);
+            }
         }
     }
 }

@@ -7,13 +7,14 @@
 //! feature vectors (bitwise), probabilities (bitwise), and predicted
 //! classes must be identical — at one worker thread and at four.
 //!
-//! Idle expiry is disabled (huge timeout) so the only close reasons are
-//! detected boundaries and the final flush, exactly mirroring the offline
-//! grouping.
+//! Most tests disable idle expiry (huge timeout) so the only close reasons
+//! are detected boundaries and the final flush, exactly mirroring the
+//! offline grouping. `idle_expiry_matches_batch_cut_at_idle_gaps` turns it
+//! on and gives the batch reference the engine's idle rule.
 
 use drop_the_packets::core::sessionid::stitch_sessions;
 use drop_the_packets::core::{
-    QoeEstimator, QoeMetricKind, ServiceId, SessionSplitter, DatasetBuilder,
+    QoeEstimator, QoeMetricKind, ServiceId, SessionIdParams, SessionSplitter, DatasetBuilder,
 };
 use drop_the_packets::features::extract_tls_features_batch;
 use drop_the_packets::stream::{CloseReason, SessionVerdict, StreamConfig, StreamEngine};
@@ -222,4 +223,111 @@ fn tolerated_disorder_does_not_change_verdicts() {
         assert_eq!(&got_feat, feat_bits, "disorder: session {i} features");
         assert_eq!(v.predicted, *predicted, "disorder: session {i} prediction");
     }
+}
+
+/// Stream = batch with idle expiry on, at the tightest legal timeout
+/// (`idle_timeout_s` = the session window `W`).
+///
+/// The engine's rule for an in-order feed: a client's session closes by
+/// idle exactly where two consecutive `start_s` of that client differ by
+/// more than `idle_timeout_s + reorder_window_s`, whatever the other
+/// clients do. So the batch reference cuts each client's records at those
+/// gaps and runs `SessionSplitter::split` → `extract_tls_features_batch` →
+/// predict on every piece. Each client's verdicts must match in order, bit
+/// for bit, with every piece's interior sessions closed by a boundary and
+/// its last by idle expiry — except the client's final piece, which closes
+/// by idle only if the feed's last watermark passed it by the timeout, and
+/// otherwise by the final flush.
+///
+/// Ordinals are not compared: an expired client's tracker is dropped, so
+/// its ordinals restart at 0 when it returns. Keeping them needs memory of
+/// departed clients, which belongs with a bound on tracked clients.
+#[test]
+fn idle_expiry_matches_batch_cut_at_idle_gaps() {
+    let est = trained_estimator();
+    let cfg = StreamConfig {
+        idle_timeout_s: SessionIdParams::default().window_s,
+        micro_batch: 4,
+        ..StreamConfig::default()
+    };
+    let idle_gap_s = cfg.idle_timeout_s + cfg.reorder_window_s;
+    let corpora: Vec<(String, Vec<TlsTransactionRecord>)> = [
+        (ServiceId::Svc1, 10usize, 61u64),
+        (ServiceId::Svc2, 12, 62),
+        (ServiceId::Svc3, 10, 63),
+        (ServiceId::Svc1, 8, 64),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &(service, n, seed))| {
+        (format!("client-{i}"), stitch_sessions(service, n, seed).transactions)
+    })
+    .collect();
+    let mut merged: Vec<(usize, TlsTransactionRecord)> = Vec::new();
+    for (i, (_, txs)) in corpora.iter().enumerate() {
+        merged.extend(txs.iter().cloned().map(|t| (i, t)));
+    }
+    merged.sort_by(|a, b| a.1.start_s.total_cmp(&b.1.start_s).then(a.0.cmp(&b.0)));
+    let last_watermark = merged.last().expect("non-empty feed").1.start_s - cfg.reorder_window_s;
+
+    let run = || {
+        let mut eng = StreamEngine::new(est.clone(), cfg).expect("valid config");
+        let mut verdicts = Vec::new();
+        for (i, rec) in &merged {
+            verdicts.extend(eng.push(&corpora[*i].0, rec.clone()));
+        }
+        verdicts.extend(eng.finish());
+        assert_eq!(eng.stats().late_dropped, 0, "an event-time merge has no late records");
+        (verdicts, *eng.stats())
+    };
+    let (verdicts, stats) = dtp_par::with_threads(1, run);
+    let (verdicts_4, _) = dtp_par::with_threads(4, run);
+    let bits = |vs: &[SessionVerdict]| -> Vec<(String, Vec<u64>)> {
+        vs.iter()
+            .map(|v| (v.client.to_string(), v.probabilities.iter().map(|p| p.to_bits()).collect()))
+            .collect()
+    };
+    assert_eq!(bits(&verdicts), bits(&verdicts_4), "verdict stream depends on thread count");
+
+    let mut idle_closes = 0;
+    for (client, txs) in &corpora {
+        let pieces: Vec<&[TlsTransactionRecord]> =
+            txs.chunk_by(|a, b| b.start_s - a.start_s <= idle_gap_s).collect();
+        assert!(pieces.len() >= 3, "{client}: only {} idle gaps", pieces.len() - 1);
+
+        let mut want = Vec::new();
+        for (p, piece) in pieces.iter().enumerate() {
+            let sessions = batch_reference(&est, piece);
+            let last_reason = if p + 1 < pieces.len()
+                || last_watermark - piece.last().expect("non-empty piece").start_s
+                    > cfg.idle_timeout_s
+            {
+                CloseReason::IdleTimeout
+            } else {
+                CloseReason::Flush
+            };
+            let n = sessions.len();
+            for (i, session) in sessions.into_iter().enumerate() {
+                want.push((session, if i + 1 == n { last_reason } else { CloseReason::Boundary }));
+            }
+        }
+        idle_closes += want.iter().filter(|(_, r)| *r == CloseReason::IdleTimeout).count();
+
+        let got: Vec<&SessionVerdict> =
+            verdicts.iter().filter(|v| &*v.client == client.as_str()).collect();
+        assert_eq!(got.len(), want.len(), "{client}: session count");
+        for (i, (v, ((n_txs, feat_bits, proba_bits, predicted), reason))) in
+            got.iter().zip(&want).enumerate()
+        {
+            assert_eq!(v.transactions, *n_txs, "{client}: session {i} size");
+            let got_feat: Vec<u64> = v.features.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(&got_feat, feat_bits, "{client}: session {i} features");
+            let got_proba: Vec<u64> = v.probabilities.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(&got_proba, proba_bits, "{client}: session {i} probabilities");
+            assert_eq!(v.predicted, *predicted, "{client}: session {i} prediction");
+            assert_eq!(v.reason, *reason, "{client}: session {i} close reason");
+        }
+    }
+    assert_eq!(verdicts.len(), stats.sessions_emitted);
+    assert_eq!(stats.closed_by_idle, idle_closes, "idle closes");
 }
